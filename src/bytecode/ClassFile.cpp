@@ -47,6 +47,7 @@ void BytecodeProgram::load(JavaVm &Vm) {
     for (size_t MI = 0; MI < C.Methods.size(); ++MI) {
       BytecodeMethod &M = C.Methods[MI];
       assert(M.ClassName == C.Name && "method/class name mismatch");
+      M.MaxStack = VR.MaxStackDepths[MethodList.size()];
       size_t Index = MethodList.size();
       bool Fresh = NameToIndex.emplace(M.qualifiedName(), Index).second;
       (void)Fresh;

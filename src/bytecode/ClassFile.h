@@ -40,6 +40,10 @@ struct BytecodeMethod {
   std::vector<std::string> CalleeRefs;
   /// Filled by BytecodeProgram::load: the registry id for this method.
   MethodId RegistryId = kInvalidMethod;
+  /// Filled by BytecodeProgram::load from the verifier's depth dataflow:
+  /// peak operand-stack depth, reserved by every activation so pushes
+  /// need no headroom check.
+  uint32_t MaxStack = 0;
 
   std::string qualifiedName() const { return ClassName + "." + MethodName; }
 };

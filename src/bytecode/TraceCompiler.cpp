@@ -64,20 +64,17 @@ bool isICmpBranch(Opcode Op) {
 
 /// Running operand-stack depth relative to trace entry, tracked at
 /// constituent granularity via the Verifier's stack-effect table. Min
-/// bounds the operands the trace consumes below its entry depth; Max
-/// bounds its peak growth (both conservative for fused ops, which skip
-/// the intermediate pushes entirely).
+/// bounds the operands the trace consumes below its entry depth
+/// (conservative for fused ops, which skip the intermediate pushes).
 struct ShapeTracker {
   int Depth = 0;
   int Min = 0;
-  int Max = 0;
 
   void apply(const Instruction &I) {
     StackEffect E = instructionStackEffect(I);
     Depth -= static_cast<int>(E.Pops);
     Min = std::min(Min, Depth);
     Depth += static_cast<int>(E.Pushes);
-    Max = std::max(Max, Depth);
   }
 };
 
@@ -167,8 +164,10 @@ std::optional<CompiledTrace> djx::compileTrace(const BytecodeMethod &M,
         (Code[Pc + 2].Op == Opcode::IAdd ||
          Code[Pc + 2].Op == Opcode::ISub) &&
         Code[Pc + 3].Op == Opcode::IStore && Code[Pc + 3].A == I.A) {
-      int64_t Delta = Code[Pc + 2].Op == Opcode::IAdd ? Code[Pc + 1].A
-                                                      : -Code[Pc + 1].A;
+      // Negated in uint64_t: isub of Long.MIN_VALUE wraps, as in Java.
+      uint64_t Imm = static_cast<uint64_t>(Code[Pc + 1].A);
+      int64_t Delta = static_cast<int64_t>(
+          Code[Pc + 2].Op == Opcode::IAdd ? Imm : 0 - Imm);
       emit(SuperOp::IncLocal, Code[Pc + 2].Op, 4, I.A, Delta);
       continue;
     }
@@ -301,7 +300,6 @@ std::optional<CompiledTrace> djx::compileTrace(const BytecodeMethod &M,
     return std::nullopt;
   T.EndPc = Pc;
   T.NumSteps = Steps;
-  T.MaxStackGrowth = static_cast<uint32_t>(std::max(0, Shape.Max));
   T.MinStackDepth = static_cast<uint32_t>(std::max(0, -Shape.Min));
   uint32_t Remaining = Steps;
   for (TraceOp &O : T.Ops) {

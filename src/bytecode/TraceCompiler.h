@@ -9,9 +9,9 @@
 /// bytecode region (a superblock starting at one entry pc) into a
 /// sequence of superinstructions the interpreter executes without
 /// per-opcode dispatch overhead. Shape analysis reuses the Verifier's
-/// stack-effect table to compute the trace's operand floor and peak
-/// stack growth, so the executing tier can do one arena headroom check
-/// per trace instead of one per push.
+/// stack-effect table to compute the trace's operand floor (the entry
+/// depth it needs). Arena headroom needs no per-trace check: every
+/// activation reserves its method's peak operand depth.
 ///
 /// Legality is deliberately conservative — a trace must be
 /// observationally equivalent to flat dispatch, instruction by
@@ -130,8 +130,6 @@ struct CompiledTrace {
   /// Total constituent instructions when the trace runs end-to-end; the
   /// quantum/step-deadline admission check charges this worst case.
   uint32_t NumSteps = 0;
-  /// Peak operand-stack growth above the entry depth (arena headroom).
-  uint32_t MaxStackGrowth = 0;
   /// Operands consumed below the entry depth (entry Sp must cover it).
   uint32_t MinStackDepth = 0;
   std::vector<TraceOp> Ops;

@@ -118,13 +118,15 @@ constexpr unsigned kMaxTrackedDepth = 1 << 16;
 /// for a resolved callee, -1 for unknown. Reports definite underflow
 /// (even the maximal depth cannot feed the instruction's pops) — the
 /// "bad operand count" class of malformed programs — without false
-/// positives on valid code.
-void verifyStackDepths(const BytecodeMethod &M,
-                       int (*InvokePush)(const void *, const Instruction &),
-                       const void *Ctx, VerifyResult &R) {
+/// positives on valid code. Returns the peak depth bound reached.
+unsigned verifyStackDepths(const BytecodeMethod &M,
+                           int (*InvokePush)(const void *,
+                                             const Instruction &),
+                           const void *Ctx, VerifyResult &R) {
   size_t N = M.Code.size();
   std::vector<DepthRange> At(N);
   std::deque<size_t> Work;
+  unsigned Peak = 0;
   At[0] = {0, 0, true};
   Work.push_back(0);
   while (!Work.empty()) {
@@ -155,6 +157,8 @@ void verifyStackDepths(const BytecodeMethod &M,
       addError(R, I, "stack depth grows without bound (unbalanced loop?)");
       continue;
     }
+    // Pops precede pushes, so no instruction peaks above its out-depth.
+    Peak = std::max(Peak, NextHi);
     auto Flow = [&](size_t Succ) {
       if (Succ >= N)
         return; // Range errors are reported by the structural pass.
@@ -177,6 +181,7 @@ void verifyStackDepths(const BytecodeMethod &M,
     if (isBranch(Inst.Op) && Inst.A >= 0)
       Flow(static_cast<size_t>(Inst.A));
   }
+  return Peak;
 }
 
 /// Program-level context for resolving Invoke callees by qualified name
@@ -207,6 +212,7 @@ VerifyResult djx::verifyMethod(const BytecodeMethod &M) {
   VerifyResult R;
   if (M.Code.empty()) {
     R.Errors.push_back("empty code");
+    R.MaxStackDepths.push_back(0);
     return R;
   }
   if (M.NumArgs > M.NumLocals)
@@ -253,8 +259,8 @@ VerifyResult djx::verifyMethod(const BytecodeMethod &M) {
   // Operand-count / stack-shape pass, only once the structure is sound
   // (the dataflow assumes in-range branch targets). Without a program,
   // Invoke pushes are unknown; the interval analysis stays conservative.
-  if (R.ok())
-    verifyStackDepths(M, nullptr, nullptr, R);
+  R.MaxStackDepths.push_back(
+      R.ok() ? verifyStackDepths(M, nullptr, nullptr, R) : 0);
   return R;
 }
 
@@ -316,6 +322,7 @@ VerifyResult djx::verifyProgram(const BytecodeProgram &P) {
       }
       for (const std::string &E : R.Errors)
         All.Errors.push_back(M.qualifiedName() + ": " + E);
+      All.MaxStackDepths.push_back(R.MaxStackDepths.front());
     }
   return All;
 }

@@ -25,6 +25,10 @@ namespace djx {
 /// Structural problems found in one method.
 struct VerifyResult {
   std::vector<std::string> Errors;
+  /// Peak operand-stack depth of each verified method, in program order
+  /// (0 where the depth pass did not run). An upper bound where a
+  /// callee's return kind is unresolved (verifyMethod on a lone method).
+  std::vector<uint32_t> MaxStackDepths;
   bool ok() const { return Errors.empty(); }
 };
 

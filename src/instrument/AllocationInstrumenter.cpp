@@ -6,6 +6,8 @@
 
 #include "instrument/AllocationInstrumenter.h"
 
+#include "bytecode/Verifier.h"
+
 #include <cassert>
 
 using namespace djx;
@@ -45,6 +47,12 @@ unsigned djx::instrumentAllocations(BytecodeMethod &M,
         Instruction{Opcode::AllocHookPost, static_cast<int64_t>(Id), 0});
     ++Count;
   });
+  // This pass runs after load, which recorded the peak operand depth the
+  // interpreter reserves per activation. The hooks must leave it alone:
+  // allochook_pre touches no operand and allochook_post peeks the fresh
+  // ref in place.
+  assert(verifyMethod(M).MaxStackDepths.front() == M.MaxStack &&
+         "allocation hooks changed the method's operand depth");
   return Count;
 }
 

@@ -6,12 +6,8 @@
 
 #include "interp/Interpreter.h"
 
-#include "support/VmError.h"
-
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace djx;
 
@@ -58,7 +54,9 @@ void Interpreter::growArena(size_t Needed) {
 Interpreter::Frame &Interpreter::pushActivation(size_t MethodIndex,
                                                 uint32_t ArgsBase) {
   const BytecodeMethod &M = Program.method(MethodIndex);
-  size_t Needed = static_cast<size_t>(ArgsBase) + M.NumLocals;
+  // Reserve the locals plus the method's peak operand depth (recorded by
+  // BytecodeProgram::load): pushes in either tier are then single stores.
+  size_t Needed = static_cast<size_t>(ArgsBase) + M.NumLocals + M.MaxStack;
   if (Needed > Arena.size())
     growArena(Needed);
   // Non-argument locals start zeroed (and must: the GC scans them).
@@ -76,13 +74,26 @@ Interpreter::Frame &Interpreter::pushActivation(size_t MethodIndex,
   return CallStack.back();
 }
 
-void Interpreter::fatalStepLimit() const {
-  VmError E(VmErrorKind::StepLimit,
-            "interpreter step limit (" + std::to_string(StepLimit) +
-                ") exceeded (runaway loop?)");
+void Interpreter::fatal(VmErrorKind Kind, const std::string &Msg) const {
+  VmError E(Kind, Msg);
   E.ThreadId = Thread.id();
   E.Steps = Steps;
   throw E;
+}
+
+void Interpreter::fatalStepLimit() const {
+  fatal(VmErrorKind::StepLimit, "interpreter step limit (" +
+                                    std::to_string(StepLimit) +
+                                    ") exceeded (runaway loop?)");
+}
+
+void Interpreter::fatalZeroDivisor(uint32_t Pc) {
+  const BytecodeMethod &M = *CallStack.back().M;
+  Thread.setBci(Pc);
+  fatal(VmErrorKind::InvalidBytecode,
+        std::string(M.Code[Pc].Op == Opcode::IDiv ? "division" : "remainder") +
+            " by zero in " + M.qualifiedName() + " at bci " +
+            std::to_string(Pc));
 }
 
 std::optional<Value> Interpreter::run(const std::string &QualifiedName,
@@ -92,11 +103,8 @@ std::optional<Value> Interpreter::run(const std::string &QualifiedName,
 
 void Interpreter::beginCall(size_t MethodIndex,
                             const std::vector<Value> &Args) {
-  {
-    const BytecodeMethod &M0 = Program.method(MethodIndex);
-    assert(Args.size() == M0.NumArgs && "argument count mismatch");
-    (void)M0;
-  }
+  assert(Args.size() == Program.method(MethodIndex).NumArgs &&
+         "argument count mismatch");
   const uint32_t BaseTop = ArenaTop;
   // The step limit is per run(): budget from the cumulative counter at
   // top-level entry (nested entries inherit the outer budget).
@@ -166,6 +174,346 @@ std::optional<Value> Interpreter::takeResult() {
   return Out;
 }
 
+// --- Opcode semantics -------------------------------------------------------
+//
+// Each opcode's effect is defined once, here, and both tiers call these
+// handlers: the flat loop once per dispatched instruction, execTrace for
+// the trace ops that mirror single opcodes and, with operands read from
+// locals instead of the stack, for the fused idioms. Pushes are single
+// stores because pushActivation reserved the frame's peak operand depth.
+// The handlers are forced inline so each call site compiles to the code a
+// per-tier copy would, with the stack pointer kept in a register.
+
+#define DJX_HANDLER [[gnu::always_inline]] inline
+
+namespace {
+
+DJX_HANDLER Value pop(Value *S, uint32_t &Sp) {
+  assert(Sp > 0 && "operand stack underflow");
+  return S[--Sp];
+}
+
+/// iload's operand: local \p Slot, which must hold an int.
+DJX_HANDLER int64_t intLocal(const Value *L, int64_t Slot) {
+  assert(!L[Slot].IsRef && "iload of a reference slot");
+  return L[Slot].asInt();
+}
+
+/// aload's operand: local \p Slot, a reference (or the zero default).
+DJX_HANDLER ObjectRef refLocal(const Value *L, int64_t Slot) {
+  assert((L[Slot].IsRef || L[Slot].Bits == kNullRef) &&
+         "aload of a non-reference slot");
+  return L[Slot].Bits;
+}
+
+/// Java `long` arithmetic for the binary ALU opcodes (MiniJVM ints are
+/// 64-bit). add, sub, mul and shl wrap in two's complement; they are
+/// computed in uint64_t because signed overflow and left-shifting a
+/// negative value are undefined in C++17. Shift counts use their low six
+/// bits and shr is arithmetic. Long.MIN_VALUE / -1 wraps to MIN_VALUE
+/// with remainder 0. The caller has rejected a zero divisor.
+DJX_HANDLER int64_t javaArith(Opcode Op, int64_t A, int64_t B) {
+  const uint64_t UA = static_cast<uint64_t>(A);
+  const uint64_t UB = static_cast<uint64_t>(B);
+  switch (Op) {
+  case Opcode::IAdd:
+    return static_cast<int64_t>(UA + UB);
+  case Opcode::ISub:
+    return static_cast<int64_t>(UA - UB);
+  case Opcode::IMul:
+    return static_cast<int64_t>(UA * UB);
+  case Opcode::IDiv:
+    return B == -1 ? static_cast<int64_t>(0 - UA) : A / B;
+  case Opcode::IRem:
+    return B == -1 ? 0 : A % B;
+  case Opcode::IAnd:
+    return A & B;
+  case Opcode::IOr:
+    return A | B;
+  case Opcode::IXor:
+    return A ^ B;
+  case Opcode::IShl:
+    return static_cast<int64_t>(UA << (B & 63));
+  case Opcode::IShr:
+    return A >> (B & 63);
+  default:
+    assert(false && "not an ALU opcode");
+    return 0;
+  }
+}
+
+/// An ALU opcode (ineg included) on the operand stack. Returns false,
+/// with the operands still in place, on a zero divisor: the caller syncs
+/// its frame and raises the typed error.
+DJX_HANDLER bool alu(Opcode Op, Value *S, uint32_t &Sp) {
+  if (Op == Opcode::INeg) {
+    Value V = pop(S, Sp);
+    S[Sp++] = Value::fromInt(javaArith(Opcode::ISub, 0, V.asInt()));
+    return true;
+  }
+  assert(Sp > 1 && "operand stack underflow");
+  int64_t B = S[Sp - 1].asInt();
+  if (B == 0 && (Op == Opcode::IDiv || Op == Opcode::IRem))
+    return false;
+  --Sp;
+  S[Sp - 1] = Value::fromInt(javaArith(Op, S[Sp - 1].asInt(), B));
+  return true;
+}
+
+/// The if_icmp<cond> comparison of \p A against \p B.
+DJX_HANDLER bool icmpTaken(Opcode Op, int64_t A, int64_t B) {
+  switch (Op) {
+  case Opcode::IfICmpEq:
+    return A == B;
+  case Opcode::IfICmpNe:
+    return A != B;
+  case Opcode::IfICmpLt:
+    return A < B;
+  case Opcode::IfICmpGe:
+    return A >= B;
+  case Opcode::IfICmpGt:
+    return A > B;
+  case Opcode::IfICmpLe:
+    return A <= B;
+  default:
+    assert(false && "not an if_icmp opcode");
+    return false;
+  }
+}
+
+/// Pops a conditional branch's operands; true when it is taken.
+DJX_HANDLER bool branchTaken(Opcode Op, Value *S, uint32_t &Sp) {
+  switch (Op) {
+  case Opcode::IfEq:
+    return pop(S, Sp).asInt() == 0;
+  case Opcode::IfNe:
+    return pop(S, Sp).asInt() != 0;
+  case Opcode::IfLt:
+    return pop(S, Sp).asInt() < 0;
+  case Opcode::IfGe:
+    return pop(S, Sp).asInt() >= 0;
+  case Opcode::IfNull:
+    return pop(S, Sp).asRef() == kNullRef;
+  case Opcode::IfNonNull:
+    return pop(S, Sp).asRef() != kNullRef;
+  default: {
+    int64_t B = pop(S, Sp).asInt();
+    int64_t A = pop(S, Sp).asInt();
+    return icmpTaken(Op, A, B);
+  }
+  }
+}
+
+/// The operand-stack and local-slot moves; \p A is the immediate or slot.
+DJX_HANDLER void moveOp(Opcode Op, int64_t A, Value *L, Value *S,
+                        uint32_t &Sp) {
+  switch (Op) {
+  case Opcode::IConst:
+    S[Sp++] = Value::fromInt(A);
+    break;
+  case Opcode::ILoad:
+    S[Sp++] = Value::fromInt(intLocal(L, A));
+    break;
+  case Opcode::ALoad:
+    S[Sp++] = Value::fromRef(refLocal(L, A));
+    break;
+  case Opcode::IStore:
+    assert(Sp > 0 && !S[Sp - 1].IsRef && "istore of a reference");
+    L[A] = pop(S, Sp);
+    break;
+  case Opcode::AStore:
+    assert(Sp > 0 && S[Sp - 1].IsRef && "astore of a non-reference");
+    L[A] = pop(S, Sp);
+    break;
+  case Opcode::Pop:
+    pop(S, Sp);
+    break;
+  case Opcode::Dup:
+    assert(Sp > 0 && "operand stack underflow");
+    S[Sp] = S[Sp - 1];
+    ++Sp;
+    break;
+  case Opcode::Swap:
+    assert(Sp > 1 && "operand stack underflow");
+    std::swap(S[Sp - 1], S[Sp - 2]);
+    break;
+  default:
+    assert(false && "not a stack/local move");
+  }
+}
+
+/// Byte offset of element \p Idx of the primitive array \p Arr, and its
+/// width through \p Size (bounds and kind asserted).
+DJX_HANDLER uint64_t elementOffset(JavaVm &Vm, JavaThread &T, ObjectRef Arr,
+                                   int64_t Idx, uint64_t &Size) {
+  const TypeDescriptor &Desc = Vm.objectType(T, Arr);
+  assert(Desc.IsArray && !Desc.ElemIsRef && "needs a primitive array");
+  assert(Idx >= 0 &&
+         static_cast<uint64_t>(Idx) < Vm.objectInfo(T, Arr).Length &&
+         "array index out of bounds");
+  Size = Desc.ElemSize;
+  return static_cast<uint64_t>(Idx) * Desc.ElemSize;
+}
+
+/// paload: one simulated access, zero-extended from the 1/4/8-byte
+/// element width.
+DJX_HANDLER int64_t loadElement(JavaVm &Vm, JavaThread &T, ObjectRef Arr,
+                                int64_t Idx) {
+  uint64_t Size = 0;
+  uint64_t Off = elementOffset(Vm, T, Arr, Idx, Size);
+  uint64_t V = Size == 1   ? Vm.readU8(T, Arr, Off)
+               : Size == 4 ? Vm.readU32(T, Arr, Off)
+                           : Vm.readWord(T, Arr, Off);
+  return static_cast<int64_t>(V);
+}
+
+/// pastore: one simulated access, truncating \p V to the element width.
+DJX_HANDLER void storeElement(JavaVm &Vm, JavaThread &T, ObjectRef Arr,
+                              int64_t Idx, uint64_t V) {
+  uint64_t Size = 0;
+  uint64_t Off = elementOffset(Vm, T, Arr, Idx, Size);
+  if (Size == 1)
+    Vm.writeU8(T, Arr, Off, static_cast<uint8_t>(V));
+  else if (Size == 4)
+    Vm.writeU32(T, Arr, Off, static_cast<uint32_t>(V));
+  else
+    Vm.writeWord(T, Arr, Off, V);
+}
+
+/// For asserts: \p Arr is a reference array and \p Idx is in bounds.
+DJX_HANDLER bool isRefSlot(JavaVm &Vm, JavaThread &T, ObjectRef Arr,
+                           int64_t Idx) {
+  return Vm.objectType(T, Arr).ElemIsRef && Idx >= 0 &&
+         static_cast<uint64_t>(Idx) < Vm.objectInfo(T, Arr).Length;
+}
+
+/// The heap-access opcodes on the operand stack, each one simulated
+/// access; \p A and \p B are the field offset and width.
+DJX_HANDLER void access(JavaVm &Vm, JavaThread &T, Opcode Op, int64_t A,
+                        int64_t B, Value *S, uint32_t &Sp) {
+  const uint64_t FieldOff = static_cast<uint64_t>(A);
+  switch (Op) {
+  case Opcode::PALoad: {
+    int64_t Idx = pop(S, Sp).asInt();
+    ObjectRef Arr = pop(S, Sp).asRef();
+    S[Sp++] = Value::fromInt(loadElement(Vm, T, Arr, Idx));
+    break;
+  }
+  case Opcode::PAStore: {
+    uint64_t V = static_cast<uint64_t>(pop(S, Sp).asInt());
+    int64_t Idx = pop(S, Sp).asInt();
+    storeElement(Vm, T, pop(S, Sp).asRef(), Idx, V);
+    break;
+  }
+  case Opcode::AALoad: {
+    int64_t Idx = pop(S, Sp).asInt();
+    ObjectRef Arr = pop(S, Sp).asRef();
+    assert(isRefSlot(Vm, T, Arr, Idx) && "bad aaload");
+    S[Sp++] =
+        Value::fromRef(Vm.readRef(T, Arr, static_cast<uint64_t>(Idx) * 8));
+    break;
+  }
+  case Opcode::AAStore: {
+    ObjectRef V = pop(S, Sp).asRef();
+    int64_t Idx = pop(S, Sp).asInt();
+    ObjectRef Arr = pop(S, Sp).asRef();
+    assert(isRefSlot(Vm, T, Arr, Idx) && "bad aastore");
+    Vm.writeRef(T, Arr, static_cast<uint64_t>(Idx) * 8, V);
+    break;
+  }
+  case Opcode::ArrayLength: {
+    ObjectRef Arr = pop(S, Sp).asRef();
+    // Length lives in the header word; touching it is a real access.
+    Vm.readWord(T, Arr, 0);
+    S[Sp++] =
+        Value::fromInt(static_cast<int64_t>(Vm.objectInfo(T, Arr).Length));
+    break;
+  }
+  case Opcode::GetField: {
+    ObjectRef Obj = pop(S, Sp).asRef();
+    uint64_t V = B == 4 ? Vm.readU32(T, Obj, FieldOff)
+                        : Vm.readWord(T, Obj, FieldOff);
+    S[Sp++] = Value::fromInt(static_cast<int64_t>(V));
+    break;
+  }
+  case Opcode::PutField: {
+    uint64_t V = static_cast<uint64_t>(pop(S, Sp).asInt());
+    ObjectRef Obj = pop(S, Sp).asRef();
+    if (B == 4)
+      Vm.writeU32(T, Obj, FieldOff, static_cast<uint32_t>(V));
+    else
+      Vm.writeWord(T, Obj, FieldOff, V);
+    break;
+  }
+  case Opcode::GetRefField: {
+    ObjectRef Obj = pop(S, Sp).asRef();
+    S[Sp++] = Value::fromRef(Vm.readRef(T, Obj, FieldOff));
+    break;
+  }
+  case Opcode::PutRefField: {
+    ObjectRef V = pop(S, Sp).asRef();
+    Vm.writeRef(T, pop(S, Sp).asRef(), FieldOff, V);
+    break;
+  }
+  default:
+    assert(false && "not a heap-access opcode");
+  }
+}
+
+} // namespace
+
+void Interpreter::allocate(Opcode Op, int64_t A, int64_t B) {
+  const Frame &F = CallStack.back();
+  const Value *S = Arena.data() + F.StackBase;
+  // Peek-then-commit: the operands stay on the stack until the VM call
+  // returns, so a GcRequest unwind (executor mode) leaves the instruction
+  // intact to re-execute after the safepoint GC. (Dims are ints, so
+  // leaving them there adds no GC roots.)
+  auto Length = [&](uint32_t Depth) {
+    assert(F.Sp >= Depth && "operand stack underflow");
+    int64_t Len = S[F.Sp - Depth].asInt();
+    assert(Len >= 0 && "negative array length");
+    return static_cast<uint64_t>(Len);
+  };
+  const TypeId Type = static_cast<TypeId>(A);
+  uint32_t NPops = 1;
+  ObjectRef Obj = kNullRef;
+  if (Op == Opcode::New) {
+    NPops = 0;
+    Obj = Vm.allocateObject(Thread, Type);
+  } else if (Op == Opcode::MultiANewArray) {
+    NPops = static_cast<uint32_t>(B);
+    std::vector<uint64_t> Dims(NPops);
+    for (uint32_t D = 0; D < NPops; ++D)
+      Dims[D] = Length(NPops - D);
+    Obj = Vm.allocateMultiArray(Thread, Type, Dims);
+  } else {
+    Obj = Vm.allocateArray(Thread, Type, Length(1));
+  }
+  // An allocation observer may have re-entered run() and moved the arena
+  // or the call stack: commit through the re-derived top frame.
+  Frame &Top = CallStack.back();
+  Top.Sp -= NPops;
+  Arena[Top.StackBase + Top.Sp++] = Value::fromRef(Obj);
+  ArenaTop = Top.StackBase + Top.Sp;
+}
+
+void Interpreter::dispatchHook(Opcode Op, uint64_t Site) {
+  const Frame &F = CallStack.back();
+  const uint32_t Depth = F.Sp;
+  if (Op == Opcode::AllocHookPre) {
+    if (Hooks.Pre)
+      Hooks.Pre(Site);
+  } else if (Hooks.Post) {
+    assert(Depth > 0 && Arena[F.StackBase + Depth - 1].IsRef &&
+           "allochook_post expects the fresh ref on TOS");
+    Hooks.Post(Site, Arena[F.StackBase + Depth - 1].asRef());
+  }
+  assert(CallStack.back().Sp == Depth &&
+         "an agent hook changed the operand depth");
+  (void)Depth;
+}
+
 bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
                        uint64_t QuantumEnd, std::optional<Value> &Out) {
   // Cached execution registers for the top frame; Reload refreshes them
@@ -200,21 +548,10 @@ bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
     F->Sp = Sp;
     ArenaTop = F->StackBase + Sp;
   };
-  auto Push = [&](Value V) {
-    if (static_cast<size_t>(F->StackBase) + Sp == Arena.size()) {
-      SyncTop();
-      growArena(Arena.size() + 1);
-      Reload();
-    }
-    S[Sp++] = V;
-  };
-  auto Pop = [&]() -> Value {
-    assert(Sp > 0 && "operand stack underflow");
-    return S[--Sp];
-  };
   Reload();
 
   for (;;) {
+    assert(Sp <= F->M->MaxStack && "operand depth above the reserved peak");
     // Quantum boundary: pause *before* the next instruction so it has not
     // been counted or charged; the frame sync makes the pause a clean GC /
     // resume point. run() passes ~0 and never pauses.
@@ -224,11 +561,8 @@ bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
     }
     if (Pc >= CodeSize) {
       SyncTop();
-      VmError E(VmErrorKind::InvalidBytecode,
-                "control fell off the end of " + F->M->qualifiedName());
-      E.ThreadId = Thread.id();
-      E.Steps = Steps;
-      throw E;
+      fatal(VmErrorKind::InvalidBytecode,
+            "control fell off the end of " + F->M->qualifiedName());
     }
     if (TraceSites) {
       TraceCache::Site &TS = TraceSites[Pc];
@@ -244,6 +578,7 @@ bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
       // identical, since a trace is the same instruction stream.
       if (T && Steps + T->NumSteps <= QuantumEnd &&
           Steps + T->NumSteps <= StepDeadline) {
+        Traces->noteEntry();
         SyncTop();
         execTrace(*T, QuantumEnd);
         Reload();
@@ -261,42 +596,15 @@ bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
     case Opcode::Nop:
       break;
     case Opcode::IConst:
-      Push(Value::fromInt(I.A));
-      break;
     case Opcode::ILoad:
-      assert(!L[I.A].IsRef && "iload of a reference slot");
-      Push(L[I.A]);
-      break;
-    case Opcode::IStore: {
-      Value V = Pop();
-      assert(!V.IsRef && "istore of a reference");
-      L[I.A] = V;
-      break;
-    }
     case Opcode::ALoad:
-      assert((L[I.A].IsRef || L[I.A].Bits == kNullRef) &&
-             "aload of a non-reference slot");
-      Push(Value::fromRef(L[I.A].Bits));
-      break;
-    case Opcode::AStore: {
-      Value V = Pop();
-      assert(V.IsRef && "astore of a non-reference");
-      L[I.A] = V;
-      break;
-    }
+    case Opcode::IStore:
+    case Opcode::AStore:
     case Opcode::Pop:
-      Pop();
-      break;
     case Opcode::Dup:
-      assert(Sp > 0 && "operand stack underflow");
-      Push(S[Sp - 1]);
+    case Opcode::Swap:
+      moveOp(I.Op, I.A, L, S, Sp);
       break;
-    case Opcode::Swap: {
-      Value B = Pop(), A = Pop();
-      Push(B);
-      Push(A);
-      break;
-    }
     case Opcode::IAdd:
     case Opcode::ISub:
     case Opcode::IMul:
@@ -306,260 +614,50 @@ bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
     case Opcode::IOr:
     case Opcode::IXor:
     case Opcode::IShl:
-    case Opcode::IShr: {
-      int64_t B = Pop().asInt();
-      int64_t A = Pop().asInt();
-      int64_t R = 0;
-      switch (I.Op) {
-      case Opcode::IAdd:
-        R = A + B;
-        break;
-      case Opcode::ISub:
-        R = A - B;
-        break;
-      case Opcode::IMul:
-        R = A * B;
-        break;
-      case Opcode::IDiv:
-        assert(B != 0 && "division by zero");
-        R = A / B;
-        break;
-      case Opcode::IRem:
-        assert(B != 0 && "remainder by zero");
-        R = A % B;
-        break;
-      case Opcode::IAnd:
-        R = A & B;
-        break;
-      case Opcode::IOr:
-        R = A | B;
-        break;
-      case Opcode::IXor:
-        R = A ^ B;
-        break;
-      case Opcode::IShl:
-        R = A << (B & 63);
-        break;
-      case Opcode::IShr:
-        R = A >> (B & 63);
-        break;
-      default:
-        assert(false && "unreachable");
-      }
-      Push(Value::fromInt(R));
-      break;
-    }
+    case Opcode::IShr:
     case Opcode::INeg:
-      Push(Value::fromInt(-Pop().asInt()));
+      if (!alu(I.Op, S, Sp)) {
+        SyncTop();
+        fatalZeroDivisor(Pc);
+      }
       break;
     case Opcode::Goto:
       NextPc = static_cast<uint32_t>(I.A);
       break;
     case Opcode::IfEq:
-      if (Pop().asInt() == 0)
-        NextPc = static_cast<uint32_t>(I.A);
-      break;
     case Opcode::IfNe:
-      if (Pop().asInt() != 0)
-        NextPc = static_cast<uint32_t>(I.A);
-      break;
     case Opcode::IfLt:
-      if (Pop().asInt() < 0)
-        NextPc = static_cast<uint32_t>(I.A);
-      break;
     case Opcode::IfGe:
-      if (Pop().asInt() >= 0)
-        NextPc = static_cast<uint32_t>(I.A);
-      break;
     case Opcode::IfICmpEq:
     case Opcode::IfICmpNe:
     case Opcode::IfICmpLt:
     case Opcode::IfICmpGe:
     case Opcode::IfICmpGt:
-    case Opcode::IfICmpLe: {
-      int64_t B = Pop().asInt();
-      int64_t A = Pop().asInt();
-      bool Taken = false;
-      switch (I.Op) {
-      case Opcode::IfICmpEq:
-        Taken = A == B;
-        break;
-      case Opcode::IfICmpNe:
-        Taken = A != B;
-        break;
-      case Opcode::IfICmpLt:
-        Taken = A < B;
-        break;
-      case Opcode::IfICmpGe:
-        Taken = A >= B;
-        break;
-      case Opcode::IfICmpGt:
-        Taken = A > B;
-        break;
-      case Opcode::IfICmpLe:
-        Taken = A <= B;
-        break;
-      default:
-        assert(false && "unreachable");
-      }
-      if (Taken)
-        NextPc = static_cast<uint32_t>(I.A);
-      break;
-    }
+    case Opcode::IfICmpLe:
     case Opcode::IfNull:
-      if (Pop().asRef() == kNullRef)
-        NextPc = static_cast<uint32_t>(I.A);
-      break;
     case Opcode::IfNonNull:
-      if (Pop().asRef() != kNullRef)
+      if (branchTaken(I.Op, S, Sp))
         NextPc = static_cast<uint32_t>(I.A);
       break;
-    case Opcode::New: {
-      SyncTop();
-      ObjectRef Obj = Vm.allocateObject(Thread, static_cast<TypeId>(I.A));
-      // Reload: an allocation-event observer may have re-entered run()
-      // and grown the arena under the cached pointers.
-      Reload();
-      Push(Value::fromRef(Obj));
-      break;
-    }
+    case Opcode::New:
     case Opcode::NewArray:
-    case Opcode::ANewArray: {
-      // Peek the length and pop only after the allocation commits: a
-      // GcRequest unwind (executor mode) must leave the operand stack
-      // intact so this instruction re-executes after the safepoint GC.
-      assert(Sp > 0 && "operand stack underflow");
-      int64_t Len = S[Sp - 1].asInt();
-      assert(Len >= 0 && "negative array length");
+    case Opcode::ANewArray:
+    case Opcode::MultiANewArray:
       SyncTop();
-      ObjectRef Obj = Vm.allocateArray(Thread, static_cast<TypeId>(I.A),
-                                       static_cast<uint64_t>(Len));
+      allocate(I.Op, I.A, I.B);
       Reload();
-      --Sp;
-      Push(Value::fromRef(Obj));
       break;
-    }
-    case Opcode::MultiANewArray: {
-      // Same peek-then-commit discipline as NewArray (dims are ints, so
-      // leaving them on the stack adds no GC roots).
-      uint32_t NDims = static_cast<uint32_t>(I.B);
-      assert(Sp >= NDims && "operand stack underflow");
-      std::vector<uint64_t> Dims(NDims);
-      for (uint32_t D = 0; D < NDims; ++D) {
-        int64_t Len = S[Sp - NDims + D].asInt();
-        assert(Len >= 0 && "negative array length");
-        Dims[D] = static_cast<uint64_t>(Len);
-      }
-      SyncTop();
-      ObjectRef Obj = Vm.allocateMultiArray(
-          Thread, static_cast<TypeId>(I.A), Dims);
-      Reload();
-      Sp -= NDims;
-      Push(Value::fromRef(Obj));
+    case Opcode::PALoad:
+    case Opcode::PAStore:
+    case Opcode::AALoad:
+    case Opcode::AAStore:
+    case Opcode::ArrayLength:
+    case Opcode::GetField:
+    case Opcode::PutField:
+    case Opcode::GetRefField:
+    case Opcode::PutRefField:
+      access(Vm, Thread, I.Op, I.A, I.B, S, Sp);
       break;
-    }
-    case Opcode::PALoad: {
-      int64_t Idx = Pop().asInt();
-      ObjectRef Arr = Pop().asRef();
-      const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-      const TypeDescriptor &Desc = Vm.objectType(Thread, Arr);
-      assert(Desc.IsArray && !Desc.ElemIsRef && "paload needs a prim array");
-      assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-             "array index out of bounds");
-      (void)Info;
-      uint64_t Off = static_cast<uint64_t>(Idx) * Desc.ElemSize;
-      uint64_t V = 0;
-      if (Desc.ElemSize == 1)
-        V = Vm.readU8(Thread, Arr, Off);
-      else if (Desc.ElemSize == 4)
-        V = Vm.readU32(Thread, Arr, Off);
-      else
-        V = Vm.readWord(Thread, Arr, Off);
-      Push(Value::fromInt(static_cast<int64_t>(V)));
-      break;
-    }
-    case Opcode::PAStore: {
-      uint64_t V = static_cast<uint64_t>(Pop().asInt());
-      int64_t Idx = Pop().asInt();
-      ObjectRef Arr = Pop().asRef();
-      const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-      const TypeDescriptor &Desc = Vm.objectType(Thread, Arr);
-      assert(Desc.IsArray && !Desc.ElemIsRef && "pastore needs a prim array");
-      assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-             "array index out of bounds");
-      (void)Info;
-      uint64_t Off = static_cast<uint64_t>(Idx) * Desc.ElemSize;
-      if (Desc.ElemSize == 1)
-        Vm.writeU8(Thread, Arr, Off, static_cast<uint8_t>(V));
-      else if (Desc.ElemSize == 4)
-        Vm.writeU32(Thread, Arr, Off, static_cast<uint32_t>(V));
-      else
-        Vm.writeWord(Thread, Arr, Off, V);
-      break;
-    }
-    case Opcode::AALoad: {
-      int64_t Idx = Pop().asInt();
-      ObjectRef Arr = Pop().asRef();
-#ifndef NDEBUG
-      const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-      assert(Vm.objectType(Thread, Arr).ElemIsRef && "aaload needs ref array");
-      assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-             "array index out of bounds");
-#endif
-      Push(Value::fromRef(
-          Vm.readRef(Thread, Arr, static_cast<uint64_t>(Idx) * 8)));
-      break;
-    }
-    case Opcode::AAStore: {
-      ObjectRef V = Pop().asRef();
-      int64_t Idx = Pop().asInt();
-      ObjectRef Arr = Pop().asRef();
-#ifndef NDEBUG
-      const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-      assert(Vm.objectType(Thread, Arr).ElemIsRef && "aastore needs ref array");
-      assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-             "array index out of bounds");
-#endif
-      Vm.writeRef(Thread, Arr, static_cast<uint64_t>(Idx) * 8, V);
-      break;
-    }
-    case Opcode::ArrayLength: {
-      ObjectRef Arr = Pop().asRef();
-      // Length lives in the header word; touching it is a real access.
-      Vm.readWord(Thread, Arr, 0);
-      Push(Value::fromInt(static_cast<int64_t>(Vm.objectInfo(Thread, Arr).Length)));
-      break;
-    }
-    case Opcode::GetField: {
-      ObjectRef Obj = Pop().asRef();
-      uint64_t V = I.B == 4
-                       ? Vm.readU32(Thread, Obj, static_cast<uint64_t>(I.A))
-                       : Vm.readWord(Thread, Obj, static_cast<uint64_t>(I.A));
-      Push(Value::fromInt(static_cast<int64_t>(V)));
-      break;
-    }
-    case Opcode::PutField: {
-      uint64_t V = static_cast<uint64_t>(Pop().asInt());
-      ObjectRef Obj = Pop().asRef();
-      if (I.B == 4)
-        Vm.writeU32(Thread, Obj, static_cast<uint64_t>(I.A),
-                    static_cast<uint32_t>(V));
-      else
-        Vm.writeWord(Thread, Obj, static_cast<uint64_t>(I.A), V);
-      break;
-    }
-    case Opcode::GetRefField: {
-      ObjectRef Obj = Pop().asRef();
-      Push(Value::fromRef(
-          Vm.readRef(Thread, Obj, static_cast<uint64_t>(I.A))));
-      break;
-    }
-    case Opcode::PutRefField: {
-      ObjectRef V = Pop().asRef();
-      ObjectRef Obj = Pop().asRef();
-      Vm.writeRef(Thread, Obj, static_cast<uint64_t>(I.A), V);
-      break;
-    }
     case Opcode::Invoke: {
       size_t Callee = static_cast<size_t>(I.A);
       const BytecodeMethod &CM = Program.method(Callee);
@@ -572,9 +670,8 @@ bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
       F->Pc = NextPc;
       F->Sp = Sp;
       uint32_t ArgsBase = F->StackBase + Sp;
-      Frame &NF = pushActivation(Callee, ArgsBase);
+      pushActivation(Callee, ArgsBase);
       Thread.pushFrame(CM.RegistryId, 0);
-      (void)NF;
       Reload();
       continue;
     }
@@ -584,7 +681,7 @@ bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
       bool HasValue = I.Op != Opcode::Return;
       Value RV;
       if (HasValue) {
-        RV = Pop();
+        RV = pop(S, Sp);
         assert((I.Op == Opcode::IReturn ? !RV.IsRef : RV.IsRef) &&
                "return value tag mismatch");
       }
@@ -600,29 +697,17 @@ bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
       }
       Reload(); // Caller frame: Pc already advanced past the Invoke.
       if (HasValue)
-        Push(RV);
+        S[Sp++] = RV;
       continue;
     }
     case Opcode::AllocHookPre:
-      if (Hooks.Pre) {
-        // Sync/reload around the dispatch: a hook may re-enter run() (the
-        // old recursive interpreter allowed it), which needs fresh frame
-        // state and may grow the arena under our cached pointers.
-        SyncTop();
-        Hooks.Pre(static_cast<uint64_t>(I.A));
-        Reload();
-      }
-      break;
     case Opcode::AllocHookPost:
-      if (Hooks.Post) {
-        assert(Sp > 0 && "operand stack underflow");
-        assert(S[Sp - 1].IsRef &&
-               "allochook_post expects the fresh ref on TOS");
-        ObjectRef Fresh = S[Sp - 1].asRef();
-        SyncTop();
-        Hooks.Post(static_cast<uint64_t>(I.A), Fresh);
-        Reload();
-      }
+      // Sync/reload around the dispatch: a hook may re-enter run() (the
+      // old recursive interpreter allowed it), which needs fresh frame
+      // state and may grow the arena under our cached pointers.
+      SyncTop();
+      dispatchHook(I.Op, static_cast<uint64_t>(I.A));
+      Reload();
       break;
     }
     Pc = NextPc;
@@ -634,13 +719,6 @@ void Interpreter::execTrace(const CompiledTrace &T, uint64_t QuantumEnd) {
   assert(F->Pc == T.EntryPc && "trace entered at the wrong pc");
   assert(F->Sp >= T.MinStackDepth &&
          "trace entered below its operand floor");
-  // One arena headroom check for the whole trace replaces the flat loop's
-  // per-push check: every slot the trace can touch is reserved up front,
-  // so pushes below are single stores. (Arena growth is host memory
-  // management — nothing simulated observes it.)
-  size_t Peak = static_cast<size_t>(F->StackBase) + F->Sp + T.MaxStackGrowth;
-  if (Peak > Arena.size())
-    growArena(Peak);
   Value *L = Arena.data() + F->LocalsBase;
   Value *S = Arena.data() + F->StackBase;
   uint32_t Sp = F->Sp;
@@ -655,10 +733,34 @@ void Interpreter::execTrace(const CompiledTrace &T, uint64_t QuantumEnd) {
     Vm.tick(Thread, Pending);
     Pending = 0;
   };
+  // Every exit (and every sync for a VM call) first retires the batch.
   auto Exit = [&](uint32_t Pc) {
+    Flush();
     F->Pc = Pc;
     F->Sp = Sp;
     ArenaTop = F->StackBase + Sp;
+  };
+  // Before a VM call that observes Steps/cycles/Bci and may re-enter
+  // run() (allocation observers, agent hooks): flush and fully sync, as
+  // flat dispatch would be at that instruction.
+  auto SyncFor = [&](const TraceOp &O) {
+    Exit(O.Pc);
+    Thread.setBci(O.Pc);
+  };
+  // After it: re-derive the cached pointers. A nested re-entry burns
+  // shared Steps, so deopt (true) when the trace remainder no longer fits
+  // a budget: the flat loop then pauses (or hits the step limit) at
+  // exactly the instruction it would have anyway.
+  auto ResumeAfter = [&](const TraceOp &O) {
+    F = &CallStack.back();
+    L = Arena.data() + F->LocalsBase;
+    S = Arena.data() + F->StackBase;
+    Sp = F->Sp;
+    if (Steps + O.StepsAfter <= QuantumEnd &&
+        Steps + O.StepsAfter <= StepDeadline)
+      return false;
+    Exit(O.Pc + 1);
+    return true;
   };
 
   for (const TraceOp &O : T.Ops) {
@@ -667,512 +769,84 @@ void Interpreter::execTrace(const CompiledTrace &T, uint64_t QuantumEnd) {
     case SuperOp::Nop:
       break;
     case SuperOp::IConst:
-      S[Sp++] = Value::fromInt(O.A);
-      break;
     case SuperOp::ILoad:
-      assert(!L[O.A].IsRef && "iload of a reference slot");
-      S[Sp++] = L[O.A];
-      break;
     case SuperOp::ALoad:
-      assert((L[O.A].IsRef || L[O.A].Bits == kNullRef) &&
-             "aload of a non-reference slot");
-      S[Sp++] = Value::fromRef(L[O.A].Bits);
-      break;
     case SuperOp::IStore:
-      assert(Sp > 0 && "operand stack underflow");
-      assert(!S[Sp - 1].IsRef && "istore of a reference");
-      L[O.A] = S[--Sp];
-      break;
     case SuperOp::AStore:
-      assert(Sp > 0 && "operand stack underflow");
-      assert(S[Sp - 1].IsRef && "astore of a non-reference");
-      L[O.A] = S[--Sp];
-      break;
     case SuperOp::PopV:
-      assert(Sp > 0 && "operand stack underflow");
-      --Sp;
-      break;
     case SuperOp::DupV:
-      assert(Sp > 0 && "operand stack underflow");
-      S[Sp] = S[Sp - 1];
-      ++Sp;
-      break;
     case SuperOp::SwapV:
-      assert(Sp > 1 && "operand stack underflow");
-      std::swap(S[Sp - 1], S[Sp - 2]);
+      moveOp(O.Src, O.A, L, S, Sp);
       break;
-    case SuperOp::Alu: {
-      assert(Sp > 1 && "operand stack underflow");
-      int64_t B = S[--Sp].asInt();
-      int64_t A = S[Sp - 1].asInt();
-      int64_t R = 0;
-      switch (O.Src) {
-      case Opcode::IAdd:
-        R = A + B;
-        break;
-      case Opcode::ISub:
-        R = A - B;
-        break;
-      case Opcode::IMul:
-        R = A * B;
-        break;
-      case Opcode::IDiv:
-        assert(B != 0 && "division by zero");
-        R = A / B;
-        break;
-      case Opcode::IRem:
-        assert(B != 0 && "remainder by zero");
-        R = A % B;
-        break;
-      case Opcode::IAnd:
-        R = A & B;
-        break;
-      case Opcode::IOr:
-        R = A | B;
-        break;
-      case Opcode::IXor:
-        R = A ^ B;
-        break;
-      case Opcode::IShl:
-        R = A << (B & 63);
-        break;
-      case Opcode::IShr:
-        R = A >> (B & 63);
-        break;
-      default:
-        assert(false && "unreachable");
-      }
-      S[Sp - 1] = Value::fromInt(R);
-      break;
-    }
+    case SuperOp::Alu:
     case SuperOp::INeg:
-      assert(Sp > 0 && "operand stack underflow");
-      S[Sp - 1] = Value::fromInt(-S[Sp - 1].asInt());
+      if (!alu(O.Src, S, Sp)) {
+        Exit(O.Pc);
+        fatalZeroDivisor(O.Pc);
+      }
       break;
     case SuperOp::GotoExit:
-      Flush();
       Exit(static_cast<uint32_t>(O.A));
       return;
-    case SuperOp::Br: {
-      bool Taken = false;
-      switch (O.Src) {
-      case Opcode::IfEq:
-        Taken = S[--Sp].asInt() == 0;
-        break;
-      case Opcode::IfNe:
-        Taken = S[--Sp].asInt() != 0;
-        break;
-      case Opcode::IfLt:
-        Taken = S[--Sp].asInt() < 0;
-        break;
-      case Opcode::IfGe:
-        Taken = S[--Sp].asInt() >= 0;
-        break;
-      case Opcode::IfNull:
-        Taken = S[--Sp].asRef() == kNullRef;
-        break;
-      case Opcode::IfNonNull:
-        Taken = S[--Sp].asRef() != kNullRef;
-        break;
-      case Opcode::IfICmpEq:
-      case Opcode::IfICmpNe:
-      case Opcode::IfICmpLt:
-      case Opcode::IfICmpGe:
-      case Opcode::IfICmpGt:
-      case Opcode::IfICmpLe: {
-        assert(Sp > 1 && "operand stack underflow");
-        int64_t B = S[--Sp].asInt();
-        int64_t A = S[--Sp].asInt();
-        switch (O.Src) {
-        case Opcode::IfICmpEq:
-          Taken = A == B;
-          break;
-        case Opcode::IfICmpNe:
-          Taken = A != B;
-          break;
-        case Opcode::IfICmpLt:
-          Taken = A < B;
-          break;
-        case Opcode::IfICmpGe:
-          Taken = A >= B;
-          break;
-        case Opcode::IfICmpGt:
-          Taken = A > B;
-          break;
-        case Opcode::IfICmpLe:
-          Taken = A <= B;
-          break;
-        default:
-          assert(false && "unreachable");
-        }
-        break;
-      }
-      default:
-        assert(false && "unreachable");
-      }
-      if (Taken) {
-        Flush();
+    case SuperOp::Br:
+      if (branchTaken(O.Src, S, Sp)) {
         Exit(static_cast<uint32_t>(O.A));
         return;
       }
       break;
-    }
-    case SuperOp::CmpBranchLL: {
-      assert(!L[O.A].IsRef && !L[O.B].IsRef &&
-             "icmp branch of a reference slot");
-      int64_t A = L[O.A].asInt();
-      int64_t B = L[O.B].asInt();
-      bool Taken = false;
-      switch (O.Src) {
-      case Opcode::IfICmpEq:
-        Taken = A == B;
-        break;
-      case Opcode::IfICmpNe:
-        Taken = A != B;
-        break;
-      case Opcode::IfICmpLt:
-        Taken = A < B;
-        break;
-      case Opcode::IfICmpGe:
-        Taken = A >= B;
-        break;
-      case Opcode::IfICmpGt:
-        Taken = A > B;
-        break;
-      case Opcode::IfICmpLe:
-        Taken = A <= B;
-        break;
-      default:
-        assert(false && "unreachable");
-      }
-      if (Taken) {
-        Flush();
+    case SuperOp::CmpBranchLL:
+    case SuperOp::CmpBranchLI:
+      if (icmpTaken(O.Src, intLocal(L, O.A),
+                    O.Kind == SuperOp::CmpBranchLL ? intLocal(L, O.B)
+                                                   : O.B)) {
         Exit(static_cast<uint32_t>(O.C));
         return;
       }
       break;
-    }
     case SuperOp::IncLocal:
-      assert(!L[O.A].IsRef && "iinc of a reference slot");
-      L[O.A] = Value::fromInt(L[O.A].asInt() + O.B);
+      L[O.A] = Value::fromInt(javaArith(Opcode::IAdd, intLocal(L, O.A), O.B));
       break;
-    case SuperOp::AccumLocal:
-      assert(Sp > 0 && "operand stack underflow");
-      assert(!S[Sp - 1].IsRef && !L[O.A].IsRef &&
-             "accumulate of a reference");
-      L[O.A] = Value::fromInt(L[O.A].asInt() + S[--Sp].asInt());
+    case SuperOp::AccumLocal: {
+      int64_t V = pop(S, Sp).asInt();
+      L[O.A] = Value::fromInt(javaArith(Opcode::IAdd, intLocal(L, O.A), V));
       break;
-    case SuperOp::PALoadLL: {
+    }
+    case SuperOp::PALoadLL:
+    case SuperOp::PAStoreLLL:
       // The access constituent is the fused run's last instruction; the
       // sample a PMU overflow captures must carry its bci and the exact
       // pre-access step/cycle counts, as in flat dispatch.
       Flush();
       Thread.setBci(O.Pc + O.NumSteps - 1);
-      assert((L[O.A].IsRef || L[O.A].Bits == kNullRef) &&
-             "aload of a non-reference slot");
-      assert(!L[O.B].IsRef && "iload of a reference slot");
-      ObjectRef Arr = L[O.A].Bits;
-      int64_t Idx = L[O.B].asInt();
-      const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-      const TypeDescriptor &Desc = Vm.objectType(Thread, Arr);
-      assert(Desc.IsArray && !Desc.ElemIsRef && "paload needs a prim array");
-      assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-             "array index out of bounds");
-      (void)Info;
-      uint64_t Off = static_cast<uint64_t>(Idx) * Desc.ElemSize;
-      uint64_t V = 0;
-      if (Desc.ElemSize == 1)
-        V = Vm.readU8(Thread, Arr, Off);
-      else if (Desc.ElemSize == 4)
-        V = Vm.readU32(Thread, Arr, Off);
-      else
-        V = Vm.readWord(Thread, Arr, Off);
-      S[Sp++] = Value::fromInt(static_cast<int64_t>(V));
-      break;
-    }
-    case SuperOp::PAStoreLLL: {
-      Flush();
-      Thread.setBci(O.Pc + O.NumSteps - 1);
-      assert((L[O.A].IsRef || L[O.A].Bits == kNullRef) &&
-             "aload of a non-reference slot");
-      assert(!L[O.B].IsRef && !L[O.C].IsRef &&
-             "iload of a reference slot");
-      ObjectRef Arr = L[O.A].Bits;
-      int64_t Idx = L[O.B].asInt();
-      uint64_t V = static_cast<uint64_t>(L[O.C].asInt());
-      const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-      const TypeDescriptor &Desc = Vm.objectType(Thread, Arr);
-      assert(Desc.IsArray && !Desc.ElemIsRef && "pastore needs a prim array");
-      assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-             "array index out of bounds");
-      (void)Info;
-      uint64_t Off = static_cast<uint64_t>(Idx) * Desc.ElemSize;
-      if (Desc.ElemSize == 1)
-        Vm.writeU8(Thread, Arr, Off, static_cast<uint8_t>(V));
-      else if (Desc.ElemSize == 4)
-        Vm.writeU32(Thread, Arr, Off, static_cast<uint32_t>(V));
-      else
-        Vm.writeWord(Thread, Arr, Off, V);
-      break;
-    }
-    case SuperOp::Access: {
-      Flush();
-      Thread.setBci(O.Pc);
-      switch (O.Src) {
-      case Opcode::PALoad: {
-        assert(Sp > 1 && "operand stack underflow");
-        int64_t Idx = S[--Sp].asInt();
-        ObjectRef Arr = S[--Sp].asRef();
-        const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-        const TypeDescriptor &Desc = Vm.objectType(Thread, Arr);
-        assert(Desc.IsArray && !Desc.ElemIsRef &&
-               "paload needs a prim array");
-        assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-               "array index out of bounds");
-        (void)Info;
-        uint64_t Off = static_cast<uint64_t>(Idx) * Desc.ElemSize;
-        uint64_t V = 0;
-        if (Desc.ElemSize == 1)
-          V = Vm.readU8(Thread, Arr, Off);
-        else if (Desc.ElemSize == 4)
-          V = Vm.readU32(Thread, Arr, Off);
-        else
-          V = Vm.readWord(Thread, Arr, Off);
-        S[Sp++] = Value::fromInt(static_cast<int64_t>(V));
-        break;
-      }
-      case Opcode::PAStore: {
-        assert(Sp > 2 && "operand stack underflow");
-        uint64_t V = static_cast<uint64_t>(S[--Sp].asInt());
-        int64_t Idx = S[--Sp].asInt();
-        ObjectRef Arr = S[--Sp].asRef();
-        const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-        const TypeDescriptor &Desc = Vm.objectType(Thread, Arr);
-        assert(Desc.IsArray && !Desc.ElemIsRef &&
-               "pastore needs a prim array");
-        assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-               "array index out of bounds");
-        (void)Info;
-        uint64_t Off = static_cast<uint64_t>(Idx) * Desc.ElemSize;
-        if (Desc.ElemSize == 1)
-          Vm.writeU8(Thread, Arr, Off, static_cast<uint8_t>(V));
-        else if (Desc.ElemSize == 4)
-          Vm.writeU32(Thread, Arr, Off, static_cast<uint32_t>(V));
-        else
-          Vm.writeWord(Thread, Arr, Off, V);
-        break;
-      }
-      case Opcode::AALoad: {
-        assert(Sp > 1 && "operand stack underflow");
-        int64_t Idx = S[--Sp].asInt();
-        ObjectRef Arr = S[--Sp].asRef();
-#ifndef NDEBUG
-        const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-        assert(Vm.objectType(Thread, Arr).ElemIsRef &&
-               "aaload needs ref array");
-        assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-               "array index out of bounds");
-#endif
-        S[Sp++] = Value::fromRef(
-            Vm.readRef(Thread, Arr, static_cast<uint64_t>(Idx) * 8));
-        break;
-      }
-      case Opcode::AAStore: {
-        assert(Sp > 2 && "operand stack underflow");
-        ObjectRef V = S[--Sp].asRef();
-        int64_t Idx = S[--Sp].asInt();
-        ObjectRef Arr = S[--Sp].asRef();
-#ifndef NDEBUG
-        const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-        assert(Vm.objectType(Thread, Arr).ElemIsRef &&
-               "aastore needs ref array");
-        assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-               "array index out of bounds");
-#endif
-        Vm.writeRef(Thread, Arr, static_cast<uint64_t>(Idx) * 8, V);
-        break;
-      }
-      case Opcode::ArrayLength: {
-        assert(Sp > 0 && "operand stack underflow");
-        ObjectRef Arr = S[--Sp].asRef();
-        Vm.readWord(Thread, Arr, 0);
+      if (O.Kind == SuperOp::PALoadLL)
         S[Sp++] = Value::fromInt(
-            static_cast<int64_t>(Vm.objectInfo(Thread, Arr).Length));
-        break;
-      }
-      case Opcode::GetField: {
-        assert(Sp > 0 && "operand stack underflow");
-        ObjectRef Obj = S[--Sp].asRef();
-        uint64_t V =
-            O.B == 4
-                ? Vm.readU32(Thread, Obj, static_cast<uint64_t>(O.A))
-                : Vm.readWord(Thread, Obj, static_cast<uint64_t>(O.A));
-        S[Sp++] = Value::fromInt(static_cast<int64_t>(V));
-        break;
-      }
-      case Opcode::PutField: {
-        assert(Sp > 1 && "operand stack underflow");
-        uint64_t V = static_cast<uint64_t>(S[--Sp].asInt());
-        ObjectRef Obj = S[--Sp].asRef();
-        if (O.B == 4)
-          Vm.writeU32(Thread, Obj, static_cast<uint64_t>(O.A),
-                      static_cast<uint32_t>(V));
-        else
-          Vm.writeWord(Thread, Obj, static_cast<uint64_t>(O.A), V);
-        break;
-      }
-      case Opcode::GetRefField: {
-        assert(Sp > 0 && "operand stack underflow");
-        ObjectRef Obj = S[--Sp].asRef();
-        S[Sp++] = Value::fromRef(
-            Vm.readRef(Thread, Obj, static_cast<uint64_t>(O.A)));
-        break;
-      }
-      case Opcode::PutRefField: {
-        assert(Sp > 1 && "operand stack underflow");
-        ObjectRef V = S[--Sp].asRef();
-        ObjectRef Obj = S[--Sp].asRef();
-        Vm.writeRef(Thread, Obj, static_cast<uint64_t>(O.A), V);
-        break;
-      }
-      default:
-        assert(false && "unreachable");
-      }
+            loadElement(Vm, Thread, refLocal(L, O.A), intLocal(L, O.B)));
+      else
+        storeElement(Vm, Thread, refLocal(L, O.A), intLocal(L, O.B),
+                     static_cast<uint64_t>(intLocal(L, O.C)));
       break;
-    }
-    case SuperOp::Alloc: {
-      // The allocation observes Steps/cycles/Bci, can fault (GcRequest)
-      // and can re-enter run() from an allocation observer: flush and
-      // fully sync first, with the operands still on the stack
-      // (peek-then-commit, exactly as the flat loop), so an unwind
-      // re-executes this constituent flat after the safepoint GC.
+    case SuperOp::Access:
       Flush();
       Thread.setBci(O.Pc);
-      F->Pc = O.Pc;
-      F->Sp = Sp;
-      ArenaTop = F->StackBase + Sp;
-      ObjectRef Obj = kNullRef;
-      uint32_t NPops = 0;
-      switch (O.Src) {
-      case Opcode::New:
-        Obj = Vm.allocateObject(Thread, static_cast<TypeId>(O.A));
-        break;
-      case Opcode::NewArray:
-      case Opcode::ANewArray: {
-        assert(Sp > 0 && "operand stack underflow");
-        int64_t Len = S[Sp - 1].asInt();
-        assert(Len >= 0 && "negative array length");
-        Obj = Vm.allocateArray(Thread, static_cast<TypeId>(O.A),
-                               static_cast<uint64_t>(Len));
-        NPops = 1;
-        break;
-      }
-      case Opcode::MultiANewArray: {
-        uint32_t NDims = static_cast<uint32_t>(O.B);
-        assert(Sp >= NDims && "operand stack underflow");
-        std::vector<uint64_t> Dims(NDims);
-        for (uint32_t D = 0; D < NDims; ++D) {
-          int64_t Len = S[Sp - NDims + D].asInt();
-          assert(Len >= 0 && "negative array length");
-          Dims[D] = static_cast<uint64_t>(Len);
-        }
-        Obj = Vm.allocateMultiArray(Thread, static_cast<TypeId>(O.A), Dims);
-        NPops = NDims;
-        break;
-      }
-      default:
-        assert(false && "unreachable");
-      }
-      // An allocation observer may have re-entered run() and moved the
-      // arena: re-derive every cached pointer before committing.
-      F = &CallStack.back();
-      L = Arena.data() + F->LocalsBase;
-      S = Arena.data() + F->StackBase;
-      Sp -= NPops;
-      S[Sp++] = Value::fromRef(Obj);
-      // A nested re-entry burns shared Steps: deopt when the remainder no
-      // longer fits a budget, so the flat loop pauses (or hits the step
-      // limit) at exactly the instruction it would have anyway.
-      if (Steps + O.StepsAfter > QuantumEnd ||
-          Steps + O.StepsAfter > StepDeadline) {
-        Exit(O.Pc + 1);
-        return;
-      }
+      access(Vm, Thread, O.Src, O.A, O.B, S, Sp);
       break;
-    }
-    case SuperOp::CmpBranchLI: {
-      assert(!L[O.A].IsRef && "icmp branch of a reference slot");
-      int64_t A = L[O.A].asInt();
-      int64_t B = O.B;
-      bool Taken = false;
-      switch (O.Src) {
-      case Opcode::IfICmpEq:
-        Taken = A == B;
-        break;
-      case Opcode::IfICmpNe:
-        Taken = A != B;
-        break;
-      case Opcode::IfICmpLt:
-        Taken = A < B;
-        break;
-      case Opcode::IfICmpGe:
-        Taken = A >= B;
-        break;
-      case Opcode::IfICmpGt:
-        Taken = A > B;
-        break;
-      case Opcode::IfICmpLe:
-        Taken = A <= B;
-        break;
-      default:
-        assert(false && "unreachable");
-      }
-      if (Taken) {
-        Flush();
-        Exit(static_cast<uint32_t>(O.C));
+    case SuperOp::Alloc:
+      // With the operands still on the stack (peek-then-commit), so a
+      // GcRequest unwind re-executes this constituent flat after the
+      // safepoint GC.
+      SyncFor(O);
+      allocate(O.Src, O.A, O.B);
+      if (ResumeAfter(O))
         return;
-      }
       break;
-    }
     case SuperOp::HookPre:
-    case SuperOp::HookPost: {
-      // Agent hook dispatch mid-trace, exactly as the flat loop: flush
-      // the batched steps (the flat loop ticks before dispatching), set
-      // the bci and sync the frame (the hook records contexts and may
-      // re-enter run()), then re-derive the cached pointers.
-      const bool IsPost = O.Kind == SuperOp::HookPost;
-      if (IsPost ? Hooks.Post != nullptr : Hooks.Pre != nullptr) {
-        ObjectRef Fresh = kNullRef;
-        if (IsPost) {
-          assert(Sp > 0 && "operand stack underflow");
-          assert(S[Sp - 1].IsRef &&
-                 "allochook_post expects the fresh ref on TOS");
-          Fresh = S[Sp - 1].asRef();
-        }
-        Flush();
-        Thread.setBci(O.Pc);
-        F->Pc = O.Pc;
-        F->Sp = Sp;
-        ArenaTop = F->StackBase + Sp;
-        if (IsPost)
-          Hooks.Post(static_cast<uint64_t>(O.A), Fresh);
-        else
-          Hooks.Pre(static_cast<uint64_t>(O.A));
-        F = &CallStack.back();
-        L = Arena.data() + F->LocalsBase;
-        S = Arena.data() + F->StackBase;
-        // A hook re-entry burns shared Steps, like an allocation
-        // observer: deopt when the trace remainder no longer fits.
-        if (Steps + O.StepsAfter > QuantumEnd ||
-            Steps + O.StepsAfter > StepDeadline) {
-          Exit(O.Pc + 1);
-          return;
-        }
-      }
+    case SuperOp::HookPost:
+      SyncFor(O);
+      dispatchHook(O.Src, static_cast<uint64_t>(O.A));
+      if (ResumeAfter(O))
+        return;
       break;
-    }
     }
   }
-  Flush();
   Exit(T.EndPc);
 }

@@ -43,6 +43,7 @@
 #include "bytecode/ClassFile.h"
 #include "interp/TraceCache.h"
 #include "jvm/JavaVm.h"
+#include "support/VmError.h"
 
 #include <functional>
 #include <memory>
@@ -191,7 +192,8 @@ private:
 
   /// Pushes the activation of \p MethodIndex whose arguments already sit
   /// at [ArgsBase, ArgsBase + NumArgs) in the arena; zero-fills the
-  /// remaining locals and claims arena space up to the operand stack base.
+  /// remaining locals and reserves arena space for the method's peak
+  /// operand depth (BytecodeMethod::MaxStack), so no push checks.
   Frame &pushActivation(size_t MethodIndex, uint32_t ArgsBase);
 
   /// Grows the arena to hold at least \p Needed slots (geometric).
@@ -204,7 +206,21 @@ private:
   /// for exactly the constituents retired.
   void execTrace(const CompiledTrace &T, uint64_t QuantumEnd);
 
+  // Opcode handlers that need interpreter state; both tiers call them
+  // with the top frame synced and re-derive cached pointers after, since
+  // the VM call or hook may re-enter run() and grow the arena.
+
+  /// new/newarray/anewarray/multianewarray (A = type, B = dims).
+  void allocate(Opcode Op, int64_t A, int64_t B);
+  /// allochook_pre/post dispatch (a no-op when that hook is not
+  /// installed); leaves the operand depth unchanged.
+  void dispatchHook(Opcode Op, uint64_t Site);
+
+  /// Throws a VmError carrying this thread's id and step count.
+  [[noreturn]] void fatal(VmErrorKind Kind, const std::string &Msg) const;
   [[noreturn]] void fatalStepLimit() const;
+  /// Division or remainder by zero at \p Pc of the top frame.
+  [[noreturn]] void fatalZeroDivisor(uint32_t Pc);
 
   JavaVm &Vm;
   BytecodeProgram &Program;

@@ -35,6 +35,7 @@ struct TraceCacheStats {
   uint64_t Compiles = 0;      ///< Successful compiles (recompiles included).
   uint64_t DeadSites = 0;     ///< Entry pcs compileTrace() rejected.
   uint64_t Invalidations = 0; ///< Safepoint invalidation sweeps.
+  uint64_t Entries = 0;       ///< Trace executions admitted.
 };
 
 /// One interpreter's trace store: a flat Site array per method, indexed
@@ -75,6 +76,9 @@ public:
   /// Safepoint invalidation: frees every compiled trace but leaves the
   /// counters saturated, so hot sites recompile on their next visit.
   void invalidate();
+
+  /// Counts one admitted trace execution.
+  void noteEntry() { ++St.Entries; }
 
   const TierConfig &config() const { return Cfg; }
   const TraceCacheStats &stats() const { return St; }

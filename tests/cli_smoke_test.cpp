@@ -123,6 +123,33 @@ TEST(CliSmoke, BadFaultRateIsUsageError) {
   EXPECT_NE(Out.find("bad --fault-rate"), std::string::npos) << Out;
 }
 
+// Numeric flags are parsed strictly: a value with trailing characters,
+// no digits, or out of range for its target type is a usage error, not a
+// silently truncated, defaulted or wrapped number.
+class NumericFlag
+    : public ::testing::TestWithParam<std::pair<const char *, const char *>> {
+};
+
+TEST_P(NumericFlag, MalformedValueIsUsageError) {
+  auto [Flag, Value] = GetParam();
+  auto [Exit, Out] = run("'" + DjxperfPath + "' " + Flag + " " + Value +
+                         " figure1");
+  EXPECT_EQ(Exit, 2) << Out;
+  EXPECT_NE(Out.find(std::string("error: ") + Flag +
+                     " expects an unsigned integer"),
+            std::string::npos)
+      << Out;
+  EXPECT_EQ(Out.find("=== DJXPerf"), std::string::npos) << Out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CliSmoke, NumericFlag,
+    ::testing::Values(std::make_pair("--jobs", "2x"),
+                      std::make_pair("--max-rounds", "abc"),
+                      std::make_pair("--size-threshold", "1k"),
+                      std::make_pair("--hot-threshold", "4294967297"),
+                      std::make_pair("--top", "4294967296")));
+
 TEST(CliSmoke, ParallelWorkloadRunsUnderJobs) {
   auto [Exit, Out] =
       run("'" + DjxperfPath + "' --jobs 2 parallel2");

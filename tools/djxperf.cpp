@@ -39,7 +39,11 @@
 #include "workloads/Suites.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -69,6 +73,26 @@ struct CliWorkload {
   bool NumaRemote = false;
   ParallelConfig Parallel;
 };
+
+/// Parses a numeric flag value: unsigned digits only (base 10, or with
+/// \p Base 0 also 0x-prefixed hex) that fit \p Max. Anything else —
+/// a sign, trailing characters, an empty string, overflow — is a usage
+/// error: exits 2 with a message.
+uint64_t parseUnsignedFlag(const char *Flag, const char *Text, uint64_t Max,
+                           int Base) {
+  errno = 0;
+  char *End = nullptr;
+  unsigned long long V = std::strtoull(Text, &End, Base);
+  if (!std::isdigit(static_cast<unsigned char>(Text[0])) || *End != '\0' ||
+      errno == ERANGE || V > Max) {
+    std::fprintf(stderr,
+                 "error: %s expects an unsigned integer no larger than "
+                 "%llu, got '%s'\n",
+                 Flag, static_cast<unsigned long long>(Max), Text);
+    std::exit(2);
+  }
+  return V;
+}
 
 std::vector<CliWorkload> catalog() {
   std::vector<CliWorkload> All;
@@ -529,6 +553,10 @@ int main(int Argc, char **Argv) {
       }
       return Argv[++I];
     };
+    auto NeedsUnsigned = [&](const char *Flag, uint64_t Max = UINT64_MAX,
+                             int Base = 10) {
+      return parseUnsignedFlag(Flag, NeedsValue(Flag), Max, Base);
+    };
     if (A == "--list") {
       for (const CliWorkload &W : catalog())
         std::printf("%-12s %s\n", W.Kind.c_str(), W.Name.c_str());
@@ -549,14 +577,13 @@ int main(int Argc, char **Argv) {
       }
       Kind = *K;
     } else if (A == "--period") {
-      Period = std::strtoull(NeedsValue("--period"), nullptr, 10);
+      Period = NeedsUnsigned("--period");
       if (Period == 0) {
         std::fprintf(stderr, "error: period must be positive\n");
         return 2;
       }
     } else if (A == "--size-threshold") {
-      Agent.MinObjectSize =
-          std::strtoull(NeedsValue("--size-threshold"), nullptr, 10);
+      Agent.MinObjectSize = NeedsUnsigned("--size-threshold");
     } else if (A == "--no-gc-handling") {
       Agent.HandleGcMoves = Agent.HandleGcFrees = false;
     } else if (A == "--no-numa") {
@@ -568,15 +595,13 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (A == "--top") {
-      Top = static_cast<unsigned>(
-          std::strtoul(NeedsValue("--top"), nullptr, 10));
+      Top = static_cast<unsigned>(NeedsUnsigned("--top", UINT_MAX));
       if (Top == 0) {
         std::fprintf(stderr, "error: --top must be positive\n");
         return 2;
       }
     } else if (A == "--jobs") {
-      Jobs = static_cast<unsigned>(
-          std::strtoul(NeedsValue("--jobs"), nullptr, 10));
+      Jobs = static_cast<unsigned>(NeedsUnsigned("--jobs", UINT_MAX));
       if (Jobs == 0) {
         std::fprintf(stderr, "error: --jobs must be positive\n");
         return 2;
@@ -598,15 +623,15 @@ int main(int Argc, char **Argv) {
       }
       Tier.Tier = T;
     } else if (A == "--hot-threshold") {
-      Tier.HotThreshold = static_cast<uint32_t>(
-          std::strtoul(NeedsValue("--hot-threshold"), nullptr, 10));
+      Tier.HotThreshold =
+          static_cast<uint32_t>(NeedsUnsigned("--hot-threshold", UINT32_MAX));
       if (Tier.HotThreshold == 0) {
         std::fprintf(stderr, "error: --hot-threshold must be positive\n");
         return 2;
       }
     } else if (A == "--max-trace-len") {
-      Tier.MaxTraceLength = static_cast<uint32_t>(
-          std::strtoul(NeedsValue("--max-trace-len"), nullptr, 10));
+      Tier.MaxTraceLength =
+          static_cast<uint32_t>(NeedsUnsigned("--max-trace-len", UINT32_MAX));
       if (Tier.MaxTraceLength == 0) {
         std::fprintf(stderr, "error: --max-trace-len must be positive\n");
         return 2;
@@ -618,15 +643,14 @@ int main(int Argc, char **Argv) {
     } else if (A == "--static-report") {
       StaticReport = true;
     } else if (A == "--heap-bytes") {
-      uint64_t V = std::strtoull(NeedsValue("--heap-bytes"), nullptr, 10);
+      uint64_t V = NeedsUnsigned("--heap-bytes");
       if (V == 0) {
         std::fprintf(stderr, "error: --heap-bytes must be positive\n");
         return 2;
       }
       HeapBytesOverride = V;
     } else if (A == "--stall-timeout-ms") {
-      StallTimeoutOverride =
-          std::strtoull(NeedsValue("--stall-timeout-ms"), nullptr, 10);
+      StallTimeoutOverride = NeedsUnsigned("--stall-timeout-ms");
     } else if (A == "--fault-rate") {
       std::string V = NeedsValue("--fault-rate");
       if (!parseFaultRate(V, Faults)) {
@@ -639,11 +663,11 @@ int main(int Argc, char **Argv) {
       }
       AnyFaultRate = true;
     } else if (A == "--fault-seed") {
-      FaultSeed = std::strtoull(NeedsValue("--fault-seed"), nullptr, 0);
+      FaultSeed = NeedsUnsigned("--fault-seed", UINT64_MAX, /*Base=*/0);
     } else if (A == "--journal") {
       JournalPath = NeedsValue("--journal");
     } else if (A == "--max-rounds") {
-      MaxRounds = std::strtoull(NeedsValue("--max-rounds"), nullptr, 10);
+      MaxRounds = NeedsUnsigned("--max-rounds");
     } else if (A == "--html") {
       HtmlPath = NeedsValue("--html");
     } else if (A == "--write-profiles") {
