@@ -8,11 +8,12 @@
 /// Wall-clock scaling of the parallel profiling runtime: the same
 /// 4-simulated-thread workload (identical logical schedule, byte-identical
 /// results) is driven with 1, 2, and 4 host workers, and the benchmark
-/// reports aggregate interpreter steps per second plus speedup versus the
-/// serial --jobs 1 path. Results are written to BENCH_mtscale.json so CI
-/// can archive the trajectory next to BENCH_simspeed.json. Speedups only
-/// carry meaning on hosts with at least as many cores as workers — on a
-/// single-core container every jobs value collapses to ~1x.
+/// reports aggregate interpreter steps per second plus speedup versus
+/// --jobs 1 (one worker, on the calling thread). Results are written to
+/// BENCH_mtscale.json so CI can archive the trajectory next to
+/// BENCH_simspeed.json. Speedups only carry meaning on hosts with at
+/// least as many cores as workers — on a single-core container every jobs
+/// value collapses to ~1x.
 ///
 /// A second section measures round-barrier cost directly: the same
 /// workload at QuantumSteps 1k/16k/64k, jobs=1 vs jobs=4. Shrinking the

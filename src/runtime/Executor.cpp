@@ -59,26 +59,45 @@ uint64_t Executor::quantumFor(size_t TaskIndex) const {
   if (!F.Enabled)
     return Config.QuantumSteps;
   uint64_t Span = F.MaxQuantumSteps - F.MinQuantumSteps + 1;
-  // Key 1: the per-round quantum draw. Rounds is read pre-increment at
-  // every call site (both schedules assign budgets before bumping it).
+  // Key 1: the per-round quantum draw. Rounds is read pre-increment
+  // (nextIteration assigns budgets before bumping it).
   return F.MinQuantumSteps +
          fuzzMix(F.Seed, Rounds, TaskIndex, 1) % Span;
 }
 
 void Executor::maybeFuzzForcedGc(uint64_t Round) {
   const FuzzSchedule &F = Config.Fuzz;
-  // Key 2: the forced-GC draw. Runs with the world stopped (the serial
-  // loop's barrier, or the MT closer with every peer quiesced on the
-  // ticket), exactly where a park-triggered safepoint would run. An empty
-  // requester list charges no pause, but the collection itself — moves,
-  // frees, index relocations, hierarchy flushes — is real, which is the
-  // point: GC timing becomes a seed draw instead of a shard-occupancy
-  // accident.
+  // Key 2: the forced-GC draw. Runs with the world stopped (the closer,
+  // every peer quiesced on the ticket), exactly where a park-triggered
+  // safepoint would run. No task is parked at a round's opening, so no
+  // pause is charged, but the collection itself — moves, frees, index
+  // relocations, hierarchy flushes — is real, which is the point: GC
+  // timing becomes a seed draw instead of a shard-occupancy accident.
   if (!F.Enabled || fuzzUnit(fuzzMix(F.Seed, Round, 0, 2)) >= F.ForcedGcChance)
     return;
-  Safepoint.stopTheWorldGc(Vm, {});
+  safepoint();
+}
+
+void Executor::safepoint() {
+  // The world is stopped by construction, so JavaVm's inline collection
+  // entry point is safe.
+  GcStats S = Vm.requestGc();
+  // Every requester waits out the pause: the deterministic analogue of a
+  // stalled thread.
+  uint64_t Pause = gcPauseCycles(Vm.config(), S);
+  for (auto &T : Tasks)
+    if (T->Parked)
+      T->Thread->addCycles(Pause);
+  ++Safepoints;
+  // Deopt-at-safepoint: compiled traces die with the pause; the flat
+  // loop owns every resumed frame (hot sites recompile on next visit).
   invalidateTraces();
+  // Re-bind after compaction: objects slid within their shard, and a
+  // future heap recycle may have released pages — placement must be
+  // restored before any post-GC access.
   applyNumaPlacement();
+  for (auto &T : Tasks)
+    T->Parked = false;
 }
 
 void Executor::invalidateTraces() {
@@ -205,18 +224,17 @@ void Executor::runQuantum(Task &T) {
       if (fuzzUnit(H) < F.SplitDrainChance)
         Chunk = 1 + fuzzMix(F.Seed, Steps0, T.Index, 4) % Chunk;
     }
-    bool Parked = false;
-    runChunk(T, Chunk, Parked);
+    runChunk(T, Chunk);
     // Drain after every chunk, not just the last: each publish is a legal
     // quantum-end drain point for the owning worker.
     Vm.jvmti().publishQuantumEnd(*T.Thread);
     Heartbeat.fetch_add(1, std::memory_order_relaxed);
-    if (Parked || T.Done || T.StepsLeft == 0)
+    if (T.Parked || T.Done || T.StepsLeft == 0)
       return;
   }
 }
 
-void Executor::runChunk(Task &T, uint64_t Budget, bool &Parked) {
+void Executor::runChunk(Task &T, uint64_t Budget) {
   uint64_t Before = T.Interp->stepsExecuted();
   try {
     RunState St = T.Interp->resume(Budget);
@@ -232,9 +250,9 @@ void Executor::runChunk(Task &T, uint64_t Budget, bool &Parked) {
     // The faulting bytecode did not execute (and the interpreter rolled
     // back its step/tick), so a park that repeats at the same step count
     // means the previous safepoint collection freed nothing useful:
-    // OutOfMemory, reported like the serial path. (Only shard-local data
-    // goes in the message — other workers are still mutating their own
-    // shards, so whole-heap queries are off limits here.)
+    // OutOfMemory, reported like JavaVm's inline path. (Only shard-local
+    // data goes in the message — other workers are still mutating their
+    // own shards, so whole-heap queries are off limits here.)
     uint64_t Now = T.Interp->stepsExecuted();
     if (T.LastParkSteps == Now) {
       VmError E(VmErrorKind::OutOfMemory,
@@ -256,7 +274,6 @@ void Executor::runChunk(Task &T, uint64_t Budget, bool &Parked) {
     if (T.StepsLeft == 0)
       T.StepsLeft = 1;
     T.Parked = true;
-    Parked = true;
   }
   // The caller (runQuantum) publishes the quantum-end drain: the batched
   // sample resolver drains this thread's ring on the worker that owns the
@@ -265,10 +282,10 @@ void Executor::runChunk(Task &T, uint64_t Budget, bool &Parked) {
 }
 
 bool Executor::roundBarrierStop() {
-  // Runs on the single thread driving the barrier (serial driver or MT
-  // closer with peers quiesced), so the hook may read every task's
-  // profile race-free. Hook first, then MaxRounds: a journal flush for
-  // round N must land even when N is the last round.
+  // Runs on the iteration closer with every peer quiesced on the ticket,
+  // so the hook may read every task's profile race-free. Hook first, then
+  // MaxRounds: a journal flush for round N must land even when N is the
+  // last round.
   bool Stop = false;
   if (Config.OnRoundEnd)
     Stop = Config.OnRoundEnd(Rounds);
@@ -287,12 +304,11 @@ std::unique_ptr<Executor::IterBatch> Executor::nextIteration() {
       Batch->Tasks.push_back(T.get());
   if (Batch->Tasks.empty()) {
     // Round barrier crossed (also true for the final barrier, where no
-    // task has budget left): fire the hook before opening the next
-    // round, at the same logical point as runSerialLoop's barrier.
+    // task has budget left): fire the hook before opening the next round.
     if (Rounds > 0 && roundBarrierStop())
       return nullptr; // Clean early end (hook request or MaxRounds).
     // Open the next round. (Budgets are drawn against the
-    // pre-increment Rounds value, matching runSerial.)
+    // pre-increment Rounds value.)
     for (auto &T : Tasks)
       if (!T->Done) {
         T->StepsLeft = quantumFor(T->Index);
@@ -351,26 +367,21 @@ void Executor::closeIteration() {
   // Reached by exactly one worker per iteration (its Remaining
   // decrement hit zero), with every peer quiesced on the round ticket —
   // the world is stopped by construction, without a handshake.
-  std::vector<JavaThread *> Requesters;
-  for (auto &T : Tasks)
-    if (T->Parked)
-      Requesters.push_back(T->Thread);
-  if (!Requesters.empty()) {
-    // The sense-reversing fallback: this quiescent point widens into a
-    // full stop-the-world safepoint, run right here on the last
-    // finisher.
-    Safepoint.stopTheWorldGc(Vm, Requesters);
-    // Deopt-at-safepoint: compiled traces die with the pause; the flat
-    // loop owns every resumed frame (hot sites recompile on next visit).
-    invalidateTraces();
-    // Re-bind after compaction: objects slid within their shard, and a
-    // future heap recycle may have released pages — placement must be
-    // restored before any post-GC access.
-    applyNumaPlacement();
-    for (auto &T : Tasks)
-      T->Parked = false;
+  std::unique_ptr<IterBatch> Next;
+  try {
+    // The sense-reversing fallback: if any task parked, this quiescent
+    // point widens into a full stop-the-world safepoint, run right here
+    // on the last finisher.
+    if (std::any_of(Tasks.begin(), Tasks.end(),
+                    [](const auto &T) { return T->Parked; }))
+      safepoint();
+    Next = nextIteration();
+  } catch (VmError &E) {
+    // The collection or the OnRoundEnd hook failed at the barrier: the
+    // same first-error capture as a failed quantum.
+    recordError(std::move(E));
+    return;
   }
-  std::unique_ptr<IterBatch> Next = nextIteration();
   if (!Next) {
     SessionDone.store(true, std::memory_order_release);
     RoundTicket.fetch_add(1, std::memory_order_release);
@@ -454,64 +465,6 @@ void Executor::sessionLoop(unsigned Worker) {
   }
 }
 
-void Executor::runSerial() {
-  // The legacy serial path: the same logical schedule, driven inline in
-  // thread-id order on the calling host thread. A VmError from any
-  // quantum ends the session exactly like the MT path's first-error
-  // capture (there is only one driver, so it is trivially "first").
-  try {
-    runSerialLoop();
-  } catch (VmError &E) {
-    recordError(std::move(E));
-  }
-}
-
-void Executor::runSerialLoop() {
-  for (;;) {
-    bool AnyActive = false;
-    for (auto &T : Tasks)
-      if (!T->Done) {
-        T->StepsLeft = quantumFor(T->Index);
-        T->Round = Rounds + 1;
-        AnyActive = true;
-      }
-    if (!AnyActive)
-      break;
-    ++Rounds;
-    maybeFuzzForcedGc(Rounds);
-    for (;;) {
-      bool Ran = false;
-      for (auto &T : Tasks)
-        if (!T->Done && T->StepsLeft > 0 && !T->Parked) {
-          runQuantum(*T);
-          // A watchdog-declared stall (injected or real) ends the
-          // session while this driver is still inside its round.
-          if (SessionDone.load(std::memory_order_acquire))
-            return;
-          Ran = true;
-        }
-      std::vector<JavaThread *> Requesters;
-      for (auto &T : Tasks)
-        if (T->Parked)
-          Requesters.push_back(T->Thread);
-      if (Requesters.empty()) {
-        if (!Ran)
-          break;
-        continue;
-      }
-      Safepoint.stopTheWorldGc(Vm, Requesters);
-      invalidateTraces();
-      applyNumaPlacement();
-      for (auto &T : Tasks)
-        T->Parked = false;
-    }
-    // Round barrier: every task is Done or out of budget. Same logical
-    // point as the MT closer's empty continue-batch.
-    if (roundBarrierStop())
-      return;
-  }
-}
-
 void Executor::recordError(VmError &&E) {
   {
     std::lock_guard<std::mutex> L(ErrorLock);
@@ -544,18 +497,11 @@ VmError Executor::buildStallError() const {
   uint64_t Stalled = StalledTask.load(std::memory_order_acquire);
   if (Stalled)
     Dump += "; injected stall on task " + std::to_string(Stalled - 1);
-  if (NumWorkers == 0) {
-    Dump += "; serial driver";
-  } else {
-    for (unsigned W = 0; W < NumWorkers; ++W) {
-      uint64_t Claim =
-          WorkerClaims ? WorkerClaims[W].load(std::memory_order_acquire) : 0;
-      Dump += "; worker " + std::to_string(W) + ": epoch " +
-              std::to_string(
-                  WorkerEpochs[W].load(std::memory_order_acquire)) +
-              (Claim ? ", running task " + std::to_string(Claim - 1)
-                     : ", idle");
-    }
+  for (unsigned W = 0; W < NumWorkers; ++W) {
+    uint64_t Claim = WorkerClaims[W].load(std::memory_order_acquire);
+    Dump += "; worker " + std::to_string(W) + ": epoch " +
+            std::to_string(WorkerEpochs[W].load(std::memory_order_acquire)) +
+            (Claim ? ", running task " + std::to_string(Claim - 1) : ", idle");
   }
   VmError E(VmErrorKind::WorkerStall, Dump);
   if (Stalled)
@@ -606,6 +552,17 @@ void Executor::run() {
   // (every hierarchy, shared and worker-private, sees the same placement).
   applyNumaPlacement();
 
+  // One epoch-announcement and claim slot per worker, in place before the
+  // watchdog can read them.
+  NumWorkers = static_cast<unsigned>(std::min<size_t>(Jobs, Tasks.size()));
+  WorkerEpochs.reset(new std::atomic<uint64_t>[NumWorkers]);
+  WorkerClaims.reset(new std::atomic<uint64_t>[NumWorkers]);
+  for (unsigned I = 0; I < NumWorkers; ++I) {
+    WorkerEpochs[I].store(0, std::memory_order_relaxed);
+    WorkerClaims[I].store(0, std::memory_order_relaxed);
+  }
+  SessionDone.store(false, std::memory_order_relaxed);
+
   // Host-time watchdog: converts a hung session (a wedged worker, a
   // safepoint that can never complete) into a WorkerStall error.
   std::thread Watchdog;
@@ -616,32 +573,21 @@ void Executor::run() {
     Watchdog = std::thread([this] { watchdogLoop(); });
   }
 
-  if (Jobs == 1 || Tasks.size() == 1) {
-    runSerial();
+  // Round 1 opens through the same closer as every later barrier. A
+  // single worker runs on this thread; more are spawned and joined.
+  closeIteration();
+  if (NumWorkers == 1) {
+    sessionLoop(0);
   } else {
-    SessionDone.store(false, std::memory_order_relaxed);
-    std::unique_ptr<IterBatch> First = nextIteration();
-    if (First) { // False only when every task already ran to completion.
-      unsigned N = static_cast<unsigned>(
-          std::min<size_t>(Jobs, Tasks.size()));
-      NumWorkers = N;
-      WorkerEpochs.reset(new std::atomic<uint64_t>[N]);
-      WorkerClaims.reset(new std::atomic<uint64_t>[N]);
-      for (unsigned I = 0; I < N; ++I) {
-        WorkerEpochs[I].store(0, std::memory_order_relaxed);
-        WorkerClaims[I].store(0, std::memory_order_relaxed);
-      }
-      publishIteration(std::move(First));
-      Workers.reserve(N);
-      for (unsigned I = 0; I < N; ++I)
-        Workers.emplace_back([this, I] { sessionLoop(I); });
-      for (std::thread &W : Workers)
-        W.join();
-      Workers.clear();
-      CurrentIter.store(nullptr, std::memory_order_relaxed);
-      IterStorage.clear();
-    }
+    Workers.reserve(NumWorkers);
+    for (unsigned I = 0; I < NumWorkers; ++I)
+      Workers.emplace_back([this, I] { sessionLoop(I); });
+    for (std::thread &W : Workers)
+      W.join();
+    Workers.clear();
   }
+  CurrentIter.store(nullptr, std::memory_order_relaxed);
+  IterStorage.clear();
 
   WatchdogArmed.store(false, std::memory_order_release);
   WatchdogStop.store(true, std::memory_order_release);

@@ -15,13 +15,14 @@
 /// different threads commute and may run on any workers in any order.
 /// Cross-thread effects happen only at the round barrier: a thread whose
 /// allocation faults parks (GcRequest unwind, bytecode not yet executed),
-/// the barrier drains the remaining quanta, the SafepointController runs
-/// one stop-the-world collection in thread-id order over all shards, and
+/// the barrier drains the remaining quanta, the barrier's closer runs one
+/// stop-the-world collection in thread-id order over all shards, and
 /// parked threads finish their quantum budget. Because parking depends
 /// only on shard occupancy (logical state) and the barrier is jobs-
-/// independent, the merged profile is byte-identical for --jobs 1/2/4;
-/// --jobs 1 *is* the legacy serial path — the same schedule driven inline
-/// on the calling host thread with no workers spawned.
+/// independent, the merged profile is byte-identical for --jobs 1/2/4.
+/// Every Jobs value runs the one claim/close session below; --jobs 1
+/// just drives its single worker loop on the calling host thread, so no
+/// host thread is spawned.
 ///
 /// Barrier elision: the round transition is coordinator-free in the
 /// common case. Workers claim quanta from an atomic cursor; the worker
@@ -51,7 +52,6 @@
 
 #include "interp/Interpreter.h"
 #include "jvm/JavaVm.h"
-#include "runtime/Safepoint.h"
 #include "support/VmError.h"
 
 #include <atomic>
@@ -106,9 +106,9 @@ struct FuzzSchedule {
 };
 
 struct ExecutorConfig {
-  /// Host worker threads. 0 = hardware concurrency; 1 = legacy serial
-  /// path (no workers spawned, quanta run inline in thread-id order).
-  /// Affects wall-clock only — never results.
+  /// Host worker threads. 0 = hardware concurrency; 1 = the session's
+  /// only worker loop runs on the calling thread (none spawned). Affects
+  /// wall-clock only — never results.
   unsigned Jobs = 0;
   /// Interpreter steps per simulated thread per round. Part of the
   /// *logical* schedule: changing it changes where GCs land, so it is a
@@ -137,12 +137,13 @@ struct ExecutorConfig {
   /// disables it (and disarms the QuantumClaim fault-injection site,
   /// which needs the watchdog to unwind the stall it creates).
   uint64_t StallTimeoutMs = 120000;
-  /// Round-barrier hook: fired once per completed round, on the single
-  /// thread driving the barrier (the serial driver, or the MT closer
-  /// with every peer quiesced on the ticket — a safe point to read
-  /// profiles or flush a journal). The argument is the just-completed
-  /// round (1-based). Return true to end the session cleanly after
-  /// this round. Fires at identical logical points for any Jobs value.
+  /// Round-barrier hook: fired once per completed round, on the worker
+  /// closing the round with every peer quiesced on the ticket — a safe
+  /// point to read profiles or flush a journal. The argument is the
+  /// just-completed round (1-based). Return true to end the session
+  /// cleanly after this round; a VmError it throws is captured like a
+  /// failed quantum's (see run()). Fires at identical logical points for
+  /// any Jobs value.
   std::function<bool(uint64_t)> OnRoundEnd;
   /// End the session cleanly once this many rounds completed (0 =
   /// unlimited). The reference oracle for journal recovery: a run
@@ -175,7 +176,8 @@ public:
   /// Runs every task to completion under the round/safepoint protocol.
   /// Never throws and never aborts the process: a VmError raised by any
   /// task (OOM after a fruitless safepoint GC, interpreter step limit,
-  /// a watchdog-detected stall) is captured first-error-wins, the
+  /// a watchdog-detected stall) or at a round barrier (the safepoint
+  /// collection, the OnRoundEnd hook) is captured first-error-wins, the
   /// session is ended (peers unwind at their next claim or ticket
   /// check), and the error is exposed via error() so callers can
   /// salvage the profile data collected so far.
@@ -200,7 +202,7 @@ public:
   /// hierarchy, in thread-id order.
   HierarchyStats mergedMachineStats() const;
   /// Stop-the-world pauses taken during run().
-  uint64_t safepoints() const { return Safepoint.safepoints(); }
+  uint64_t safepoints() const { return Safepoints; }
   /// Rounds executed (quantum barriers crossed).
   uint64_t rounds() const { return Rounds; }
 
@@ -235,6 +237,21 @@ private:
     uint64_t Round = 0;
   };
 
+  /// The stop-the-world safepoint, run by the iteration closer (or a
+  /// forced fuzz GC) while no quantum is in flight. A task whose heap-shard
+  /// allocation failed could not collect inline — peers were still
+  /// mutating — so it parked (GcRequest unwind, faulting bytecode not yet
+  /// executed). One collection now serves every parked requester: roots
+  /// come from all threads' synced frames, the mark-compact collector
+  /// runs, the GC-finish (MXBean) notification applies the
+  /// LiveObjectIndex relocation batch, and every worker-private hierarchy
+  /// is flushed. Each requester is charged the stop-the-world pause cost;
+  /// then compiled traces are dropped (deopt-at-safepoint), NUMA
+  /// placement is re-imposed on the compacted shards, and parked tasks
+  /// resume to re-execute their faulting bytecode. Everything is keyed to
+  /// logical state (step counts, shard occupancy), never host timing.
+  void safepoint();
+
   /// Deopt-at-safepoint: drops every task's compiled traces after a
   /// stop-the-world pause (hot sites recompile on their next flat visit).
   /// Runs in the safepoint's single-threaded window, so the sweep is
@@ -256,16 +273,12 @@ private:
   void runQuantum(Task &T);
   /// One resume() call of up to \p Budget steps: charges the task's
   /// StepsLeft, handles Done, and turns a GcRequest unwind into a park
-  /// (\p Parked set). Factored out of runQuantum so fuzzed chunking
+  /// (T.Parked set). Factored out of runQuantum so fuzzed chunking
   /// reuses the exact park/OOM bookkeeping of the unfuzzed path.
-  void runChunk(Task &T, uint64_t Budget, bool &Parked);
-  /// The legacy serial schedule, driven inline on the calling thread.
-  /// Wraps runSerialLoop in the same first-error capture as the MT path.
-  void runSerial();
-  void runSerialLoop();
-  /// Round-barrier bookkeeping shared by both schedules: fires
-  /// Config.OnRoundEnd for the just-completed round and evaluates
-  /// MaxRounds. \returns true when the session should end cleanly.
+  void runChunk(Task &T, uint64_t Budget);
+  /// Round-barrier bookkeeping: fires Config.OnRoundEnd for the
+  /// just-completed round and evaluates MaxRounds. \returns true when the
+  /// session should end cleanly.
   bool roundBarrierStop();
 
   // --- Failure capture and the stall watchdog ----------------------------
@@ -293,7 +306,7 @@ private:
   /// construction). No-op when fuzz is off.
   void maybeFuzzForcedGc(uint64_t Round);
 
-  // --- Ticket-barrier session (Jobs > 1) ---------------------------------
+  // --- Ticket-barrier session (every Jobs value) ------------------------
   /// One inner iteration's immutable work list. Workers claim indices
   /// from Next; the worker that drops Remaining to zero owns the
   /// iteration close. The Tasks vector never mutates after publication —
@@ -315,7 +328,8 @@ private:
   /// every other worker quiesced (spinning or asleep on the ticket): the
   /// elided round barrier. Performs the safepoint GC if any task parked,
   /// then either continues the round, opens the next round, or ends the
-  /// session.
+  /// session. run() calls it once, before any worker starts, to open
+  /// round 1. A VmError raised here is captured first-error-wins.
   void closeIteration();
   /// Builds the inner-iteration work list ({!Done, StepsLeft > 0}), or —
   /// when that is empty — opens a new round. \returns nullptr when every
@@ -331,7 +345,7 @@ private:
   ExecutorConfig Config;
   unsigned Jobs;
   std::vector<std::unique_ptr<Task>> Tasks;
-  SafepointController Safepoint;
+  uint64_t Safepoints = 0;
   uint64_t Rounds = 0;
 
   // Session state. The common-case round transition is coordinator-free:
@@ -360,11 +374,11 @@ private:
   // Failure capture + watchdog state.
   std::optional<VmError> FirstError;
   std::mutex ErrorLock;
-  /// Bumped on every completed chunk (serial and MT) — the watchdog's
-  /// forward-progress signal.
+  /// Bumped on every completed chunk — the watchdog's forward-progress
+  /// signal.
   std::atomic<uint64_t> Heartbeat{0};
   /// Per-worker claim slot: task index + 1 while a quantum runs, 0 when
-  /// idle. Watchdog dump input; MT sessions only.
+  /// idle. Watchdog dump input.
   std::unique_ptr<std::atomic<uint64_t>[]> WorkerClaims;
   /// Task index + 1 of an injected stall, 0 otherwise.
   std::atomic<uint64_t> StalledTask{0};

@@ -35,6 +35,46 @@ DjxPerfConfig djx::parallelAgentConfig(const ParallelConfig &Config,
   return Base;
 }
 
+namespace {
+
+/// The Executor knobs a ParallelConfig forwards.
+ExecutorConfig executorConfig(const ParallelConfig &Config) {
+  ExecutorConfig Ec;
+  Ec.Jobs = Config.Jobs;
+  Ec.QuantumSteps = Config.QuantumSteps;
+  Ec.Policy = Config.Policy;
+  Ec.Tier = Config.Tier;
+  Ec.Fuzz = Config.Fuzz;
+  Ec.StallTimeoutMs = Config.StallTimeoutMs;
+  Ec.OnRoundEnd = Config.OnRoundEnd;
+  Ec.MaxRounds = Config.MaxRounds;
+  return Ec;
+}
+
+/// Runs \p Ex's tasks and ends their threads in task (= thread-id) order.
+/// A failed session still ends every thread (their rings drain into the
+/// profile — the salvage substrate) before the captured error is rethrown
+/// to the caller, who holds the profiler with all pre-failure data.
+ParallelOutcome runTasks(JavaVm &Vm, Executor &Ex, bool DumpTraces) {
+  Ex.run();
+  ParallelOutcome Out;
+  Out.Steps = Ex.totalSteps();
+  Out.Safepoints = Ex.safepoints();
+  Out.Rounds = Ex.rounds();
+  Out.Machine = Ex.mergedMachineStats();
+  if (DumpTraces)
+    for (size_t I = 0; I < Ex.numTasks(); ++I)
+      Out.TraceDump += "== task " + std::to_string(I) + " ==\n" +
+                       Ex.interpreter(I).renderTraces();
+  for (size_t I = 0; I < Ex.numTasks(); ++I)
+    Vm.endThread(Ex.thread(I));
+  if (Ex.error())
+    throw *Ex.error();
+  return Out;
+}
+
+} // namespace
+
 ParallelOutcome djx::runParallelWorkload(JavaVm &Vm, DjxPerf *Prof,
                                          const ParallelConfig &Config) {
   BytecodeProgram Program = buildParallelWorkerProgram(Vm.types());
@@ -45,16 +85,7 @@ ParallelOutcome djx::runParallelWorkload(JavaVm &Vm, DjxPerf *Prof,
     StaticSites = collectStaticSiteFacts(Program, Prof->sites());
   }
 
-  ExecutorConfig Ec;
-  Ec.Jobs = Config.Jobs;
-  Ec.QuantumSteps = Config.QuantumSteps;
-  Ec.Policy = Config.Policy;
-  Ec.Tier = Config.Tier;
-  Ec.Fuzz = Config.Fuzz;
-  Ec.StallTimeoutMs = Config.StallTimeoutMs;
-  Ec.OnRoundEnd = Config.OnRoundEnd;
-  Ec.MaxRounds = Config.MaxRounds;
-  Executor Ex(Vm, Ec);
+  Executor Ex(Vm, executorConfig(Config));
   for (unsigned I = 0; I < Config.SimThreads; ++I) {
     size_t Task = Ex.addThread(
         Program, "Main.run",
@@ -65,30 +96,8 @@ ParallelOutcome djx::runParallelWorkload(JavaVm &Vm, DjxPerf *Prof,
       Prof->attachInterpreter(Ex.interpreter(Task));
   }
 
-  Ex.run();
-
-  // Failed session: end threads first (their rings drain into the
-  // profile — the salvage substrate), then surface the captured error to
-  // the caller, who still holds the profiler with all pre-failure data.
-  if (Ex.error()) {
-    for (size_t I = 0; I < Ex.numTasks(); ++I)
-      Vm.endThread(Ex.thread(I));
-    throw *Ex.error();
-  }
-
-  ParallelOutcome Out;
-  Out.Steps = Ex.totalSteps();
-  Out.Safepoints = Ex.safepoints();
-  Out.Rounds = Ex.rounds();
-  Out.Machine = Ex.mergedMachineStats();
+  ParallelOutcome Out = runTasks(Vm, Ex, Config.DumpTraces);
   Out.StaticSites = std::move(StaticSites);
-  if (Config.DumpTraces)
-    for (size_t I = 0; I < Ex.numTasks(); ++I)
-      Out.TraceDump += "== task " + std::to_string(I) + " ==\n" +
-                       Ex.interpreter(I).renderTraces();
-  // End threads in task (= thread-id) order, deterministically.
-  for (size_t I = 0; I < Ex.numTasks(); ++I)
-    Vm.endThread(Ex.thread(I));
   return Out;
 }
 
@@ -122,16 +131,7 @@ ParallelOutcome djx::runNumaRemoteWorkload(JavaVm &Vm, DjxPerf *Prof,
   Setup.setHeapShard(0);
   Vm.endThread(Setup);
 
-  ExecutorConfig Ec;
-  Ec.Jobs = Config.Jobs;
-  Ec.QuantumSteps = Config.QuantumSteps;
-  Ec.Policy = Config.Policy;
-  Ec.Tier = Config.Tier;
-  Ec.Fuzz = Config.Fuzz;
-  Ec.StallTimeoutMs = Config.StallTimeoutMs;
-  Ec.OnRoundEnd = Config.OnRoundEnd;
-  Ec.MaxRounds = Config.MaxRounds;
-  Executor Ex(Vm, Ec);
+  Executor Ex(Vm, executorConfig(Config));
   for (unsigned I = 0; I < Config.SimThreads; ++I) {
     // Worker I sweeps its neighbour's array: the producer/consumer handoff
     // that first-touch placement punishes with all-remote sweeps.
@@ -143,24 +143,5 @@ ParallelOutcome djx::runNumaRemoteWorkload(JavaVm &Vm, DjxPerf *Prof,
                  "numa-worker-" + std::to_string(I));
   }
 
-  Ex.run();
-
-  if (Ex.error()) {
-    for (size_t I = 0; I < Ex.numTasks(); ++I)
-      Vm.endThread(Ex.thread(I));
-    throw *Ex.error();
-  }
-
-  ParallelOutcome Out;
-  Out.Steps = Ex.totalSteps();
-  Out.Safepoints = Ex.safepoints();
-  Out.Rounds = Ex.rounds();
-  Out.Machine = Ex.mergedMachineStats();
-  if (Config.DumpTraces)
-    for (size_t I = 0; I < Ex.numTasks(); ++I)
-      Out.TraceDump += "== task " + std::to_string(I) + " ==\n" +
-                       Ex.interpreter(I).renderTraces();
-  for (size_t I = 0; I < Ex.numTasks(); ++I)
-    Vm.endThread(Ex.thread(I));
-  return Out;
+  return runTasks(Vm, Ex, Config.DumpTraces);
 }

@@ -116,11 +116,24 @@ TEST(CliSmoke, InjectedAllocFaultIsSeedReproducible) {
   EXPECT_NE(Out1.find("DEGRADED"), std::string::npos) << Out1;
 }
 
+// Unknown sites and malformed rates (empty, non-numeric, NaN, trailing
+// characters) are usage errors, never a silently parsed prefix; so is a
+// non-numeric DJX_FAULT_SEED.
 TEST(CliSmoke, BadFaultRateIsUsageError) {
-  auto [Exit, Out] =
-      run("'" + DjxperfPath + "' --fault-rate bogus=0.5 figure1");
+  for (const char *Rate : {"bogus=0.5", "alloc=nan", "alloc=", "alloc=abc",
+                           "alloc=0.5x"}) {
+    auto [Exit, Out] = run("'" + DjxperfPath + "' --fault-rate '" + Rate +
+                           "' figure1");
+    EXPECT_EQ(Exit, 2) << Rate << ": " << Out;
+    EXPECT_NE(Out.find("bad --fault-rate"), std::string::npos)
+        << Rate << ": " << Out;
+  }
+  auto [Exit, Out] = run("DJX_FAULT_SEED=bogus '" + DjxperfPath +
+                         "' --fault-rate alloc=1.0 figure1");
   EXPECT_EQ(Exit, 2) << Out;
-  EXPECT_NE(Out.find("bad --fault-rate"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("DJX_FAULT_SEED expects an unsigned integer"),
+            std::string::npos)
+      << Out;
 }
 
 // Numeric flags are parsed strictly: a value with trailing characters,

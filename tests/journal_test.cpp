@@ -341,10 +341,14 @@ TEST(JournalTruncation, CutAtCommitMatchesMaxRoundsReference) {
   EXPECT_EQ(R.TrailingBytes, 0u);
   EXPECT_TRUE(R.TruncationReason.empty());
 
+  // The reference run is jobs-invariant: the torn jobs-2 journal must
+  // recover to the truncated run at any worker count.
   std::string RefPath = tempPath("ref.djxj");
-  JournaledRun Ref = runJournaled(RefPath, 2, Round);
-  EXPECT_EQ(Ref.Rounds, Round);
-  EXPECT_EQ(recoveredReport(R), Ref.Report);
+  for (unsigned Jobs : {1u, 2u, 4u}) {
+    JournaledRun Ref = runJournaled(RefPath, Jobs, Round);
+    EXPECT_EQ(Ref.Rounds, Round) << "jobs " << Jobs;
+    EXPECT_EQ(recoveredReport(R), Ref.Report) << "jobs " << Jobs;
+  }
 
   std::remove(Path.c_str());
   std::remove(TornPath.c_str());

@@ -32,8 +32,6 @@ namespace {
 DJX_TEST_MODULE(runtime_test, 68.0, 45.0,
     "src/runtime/Executor.cpp",
     "src/runtime/Executor.h",
-    "src/runtime/Safepoint.cpp",
-    "src/runtime/Safepoint.h",
     "src/workloads/Parallel.cpp",
     "src/workloads/Parallel.h");
 
@@ -156,6 +154,51 @@ TEST(Executor, ReportsOutOfMemoryWhenGcCannotHelp) {
                 std::string::npos);
     }
   }
+}
+
+// A round barrier ends the session after exactly the round that asked,
+// for every jobs value, whether the OnRoundEnd hook requests the stop,
+// MaxRounds is reached, or the hook throws. A thrown VmError is captured
+// like a failed quantum's: run() returns with the error.
+TEST(Executor, RoundBarrierEndsSessionForEveryJobs) {
+  enum class Stop { HookRequest, MaxRounds, HookThrows };
+  for (Stop How : {Stop::HookRequest, Stop::MaxRounds, Stop::HookThrows})
+    for (unsigned Jobs : {1u, 2u, 4u}) {
+      SCOPED_TRACE("stop kind " + std::to_string(static_cast<int>(How)) +
+                   ", jobs " + std::to_string(Jobs));
+      ParallelConfig Pc = smallConfig(Jobs);
+      JavaVm Vm(parallelVmConfig(Pc));
+      BytecodeProgram Program = buildParallelWorkerProgram(Vm.types());
+      Program.load(Vm);
+
+      ExecutorConfig Ec;
+      Ec.Jobs = Jobs;
+      Ec.QuantumSteps = Pc.QuantumSteps;
+      Ec.MaxRounds = How == Stop::MaxRounds ? 3 : 0;
+      Ec.OnRoundEnd = [How](uint64_t Round) {
+        if (Round == 3 && How == Stop::HookThrows)
+          throw VmError(VmErrorKind::Internal, "hook failed at round 3");
+        return Round == 3 && How == Stop::HookRequest;
+      };
+      Executor Ex(Vm, Ec);
+      for (unsigned I = 0; I < Pc.SimThreads; ++I)
+        Ex.addThread(Program, "Main.run",
+                     {Value::fromInt(Pc.Iters), Value::fromInt(Pc.Nlen),
+                      Value::fromInt(Pc.HotElems)},
+                     "w" + std::to_string(I));
+      Ex.run();
+
+      EXPECT_EQ(Ex.rounds(), 3u);
+      if (How == Stop::HookThrows) {
+        ASSERT_TRUE(Ex.error().has_value());
+        EXPECT_EQ(Ex.error()->Kind, VmErrorKind::Internal);
+        EXPECT_EQ(std::string(Ex.error()->what()), "hook failed at round 3");
+      } else {
+        EXPECT_FALSE(Ex.error().has_value());
+      }
+      for (size_t I = 0; I < Ex.numTasks(); ++I)
+        Vm.endThread(Ex.thread(I));
+    }
 }
 
 TEST(Executor, AttachModeProfilingFromWorkers) {

@@ -247,14 +247,18 @@ void usage(const char *Argv0) {
       Argv0, Argv0, Argv0);
 }
 
-/// Parses "alloc=0.5" style --fault-rate operands into \p Plan.
+/// Parses "alloc=0.5" style --fault-rate operands into \p Plan. The rate
+/// must be a number in [0, 1]: empty values, trailing characters
+/// and NaN are rejected.
 bool parseFaultRate(const std::string &V, FaultPlan &Plan) {
   auto Eq = V.find('=');
   if (Eq == std::string::npos)
     return false;
   std::string Site = V.substr(0, Eq);
-  double Rate = std::strtod(V.c_str() + Eq + 1, nullptr);
-  if (Rate < 0.0 || Rate > 1.0)
+  const char *Text = V.c_str() + Eq + 1;
+  char *End = nullptr;
+  double Rate = std::strtod(Text, &End);
+  if (End == Text || *End != '\0' || !(Rate >= 0.0 && Rate <= 1.0))
     return false;
   if (Site == "alloc")
     Plan.Rate[static_cast<int>(FaultSite::HeapAlloc)] = Rate;
@@ -709,7 +713,8 @@ int main(int Argc, char **Argv) {
     if (FaultSeed) {
       Faults.Seed = *FaultSeed;
     } else if (const char *Env = std::getenv("DJX_FAULT_SEED")) {
-      Faults.Seed = std::strtoull(Env, nullptr, 0);
+      Faults.Seed =
+          parseUnsignedFlag("DJX_FAULT_SEED", Env, UINT64_MAX, /*Base=*/0);
     } else {
       std::random_device Rd;
       Faults.Seed = (static_cast<uint64_t>(Rd()) << 32) ^ Rd();
