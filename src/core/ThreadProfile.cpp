@@ -75,6 +75,28 @@ size_t ThreadProfile::memoryFootprint() const {
   return Bytes;
 }
 
+bool ThreadProfile::remapIds(uint64_t ThreadOffset,
+                             const std::vector<MethodId> &MethodMap) {
+  Cct Mapped;
+  for (CctNodeId N = 1; N < Tree.size(); ++N) {
+    MethodId M = Tree.methodOf(N);
+    if (M >= MethodMap.size() ||
+        Mapped.child(Tree.parentOf(N), MethodMap[M], Tree.bciOf(N)) != N)
+      return false;
+  }
+  auto MapTid = [&](uint64_t Tid) {
+    return Tid == 0 ? 0 : Tid + ThreadOffset;
+  };
+  std::map<AllocKey, ObjectGroupStats> Rekeyed;
+  for (auto &[Key, G] : Groups)
+    Rekeyed.emplace(AllocKey{MapTid(Key.AllocThread), Key.AllocNode},
+                    std::move(G));
+  Tree = std::move(Mapped);
+  Groups = std::move(Rekeyed);
+  ThreadId = MapTid(ThreadId);
+  return true;
+}
+
 // --- Serialisation ---------------------------------------------------------
 
 static void writeMetrics(std::ostream &OS, const MetricCounts &M) {

@@ -29,6 +29,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace djx {
 
@@ -127,6 +128,14 @@ public:
   /// Parses a profile written by writeTo. \returns false on malformed
   /// input.
   bool readFrom(std::istream &IS);
+
+  /// Re-keys the profile into a merged id space: adds \p ThreadOffset to
+  /// the thread id and every allocating thread id (id 0, unknown
+  /// provenance, is kept) and maps CCT method ids through \p MethodMap
+  /// (index = original id). CCT node ids are unchanged. \returns false,
+  /// leaving the profile untouched, when a method id has no entry in
+  /// \p MethodMap or the map would fold two sibling nodes into one.
+  bool remapIds(uint64_t ThreadOffset, const std::vector<MethodId> &MethodMap);
 
 private:
   uint64_t ThreadId = 0;

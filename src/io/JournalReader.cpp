@@ -8,6 +8,7 @@
 
 #include "io/Checksum.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -64,6 +65,15 @@ struct PayloadCursor {
   }
 };
 
+bool sameMethod(const MethodInfo &A, const MethodInfo &B) {
+  return A.ClassName == B.ClassName && A.MethodName == B.MethodName &&
+         std::equal(A.LineTable.begin(), A.LineTable.end(),
+                    B.LineTable.begin(), B.LineTable.end(),
+                    [](const LineEntry &X, const LineEntry &Y) {
+                      return X.Bci == Y.Bci && X.Line == Y.Line;
+                    });
+}
+
 } // namespace
 
 JournalRecovery djx::readJournal(const std::string &Path) {
@@ -101,7 +111,7 @@ JournalRecovery djx::readJournal(const std::string &Path) {
   // sentinel, so a tear between a snapshot and its commit drops the
   // snapshot — the state is always the one at the last sentinel.
   std::vector<MethodInfo> PendingMethods;
-  std::map<uint64_t, std::string> PendingSnapshots;
+  std::map<uint64_t, std::string> PendingSnapshots, Snapshots;
   uint64_t NextSeq = 1;
   size_t Off = kJournalFileHeaderBytes;
   size_t LastValidEnd = Off;
@@ -113,7 +123,7 @@ JournalRecovery djx::readJournal(const std::string &Path) {
       R.Methods.push_back(std::move(M));
     PendingMethods.clear();
     for (auto &[Tid, Text] : PendingSnapshots)
-      R.Snapshots[Tid] = std::move(Text);
+      Snapshots[Tid] = std::move(Text);
     PendingSnapshots.clear();
     R.SegmentsCommitted = R.Segments.size();
     R.BytesKept = EndOff;
@@ -252,76 +262,58 @@ JournalRecovery djx::readJournal(const std::string &Path) {
 
   // Materialize the committed snapshots. A CRC-valid but unparseable
   // snapshot means a writer bug or hash collision; drop that thread and
-  // record it, never crash.
-  for (const auto &[Tid, Text] : R.Snapshots) {
+  // count it, never crash.
+  for (const auto &[Tid, Text] : Snapshots) {
     ThreadProfile P;
     std::istringstream IS(Text);
-    if (!P.readFrom(IS)) {
-      if (R.TruncationReason.empty())
-        R.TruncationReason =
-            "unparseable snapshot for thread " + std::to_string(Tid);
-      continue;
-    }
-    R.Profiles.push_back(std::move(P));
+    if (P.readFrom(IS))
+      R.Profiles.push_back(std::move(P));
+    else
+      ++R.SnapshotsDropped;
   }
   return R;
 }
 
-MethodRegistry djx::buildJournalMethodRegistry(const JournalRecovery &R) {
-  MethodRegistry Reg;
-  for (const MethodInfo &M : R.Methods)
-    Reg.registerMethod(M.ClassName, M.MethodName, M.LineTable);
-  return Reg;
+MergedProfile JournalFold::analyze() const {
+  std::vector<const ThreadProfile *> Parts;
+  Parts.reserve(Profiles.size());
+  for (const ThreadProfile &P : Profiles)
+    Parts.push_back(&P);
+  return mergeProfiles(Parts);
 }
 
-std::string djx::remapSnapshotText(const std::string &Text,
-                                   uint64_t ThreadOffset,
-                                   const std::vector<MethodId> &MethodMap) {
-  // Rewrites the line-oriented djxprofile format in place of a field-by-
-  // field rebuild: thread ids live in fixed token positions per tag, and
-  // method ids only appear in "node" lines. CCT node ids are indices
-  // into the owning profile's tree and need no remapping.
-  auto MapTid = [&](uint64_t Tid) {
-    return Tid == 0 ? 0 : Tid + ThreadOffset;
-  };
-  auto MapMethod = [&](MethodId M) {
-    return M < MethodMap.size() ? MethodMap[M] : M;
-  };
-  std::istringstream IS(Text);
-  std::ostringstream OS;
-  std::string Line;
-  while (std::getline(IS, Line)) {
-    std::istringstream LS(Line);
-    std::string Tag;
-    LS >> Tag;
-    if (Tag == "thread") {
-      uint64_t Tid;
-      std::string Name;
-      if (LS >> Tid >> Name) {
-        OS << "thread " << MapTid(Tid) << ' ' << Name << '\n';
-        continue;
-      }
-    } else if (Tag == "node") {
-      uint64_t Id, Parent;
-      MethodId Method;
-      uint32_t Bci;
-      if (LS >> Id >> Parent >> Method >> Bci) {
-        OS << "node " << Id << ' ' << Parent << ' ' << MapMethod(Method)
-           << ' ' << Bci << '\n';
-        continue;
-      }
-    } else if (Tag == "group" || Tag == "access" || Tag == "homenode" ||
-               Tag == "cpunode") {
-      uint64_t AllocThread, AllocNode;
-      if (LS >> AllocThread >> AllocNode) {
-        std::string Rest;
-        std::getline(LS, Rest);
-        OS << Tag << ' ' << MapTid(AllocThread) << ' ' << AllocNode << Rest
-           << '\n';
-        continue;
-      }
+JournalFold djx::foldJournals(const std::vector<std::string> &Paths) {
+  JournalFold F;
+  uint64_t TidOffset = 0;
+  for (const std::string &Path : Paths) {
+    JournalRecovery R = readJournal(Path);
+    // Only earlier inputs' ids are candidates, so one input's own
+    // methods are never folded together (the first input keeps its ids).
+    const MethodId Earlier = static_cast<MethodId>(F.Methods.size());
+    std::vector<MethodId> Map;
+    Map.reserve(R.Methods.size());
+    for (MethodInfo &M : R.Methods) {
+      MethodId Id = 0;
+      while (Id < Earlier && !sameMethod(F.Methods.get(Id), M))
+        ++Id;
+      if (Id == Earlier)
+        Id = F.Methods.registerMethod(M.ClassName, M.MethodName,
+                                      std::move(M.LineTable));
+      Map.push_back(Id);
     }
-    OS << Line << '\n';
+    uint64_t MaxTid = TidOffset;
+    for (ThreadProfile &P : R.Profiles) {
+      if (!P.remapIds(TidOffset, Map)) {
+        ++R.SnapshotsDropped;
+        continue;
+      }
+      MaxTid = std::max(MaxTid, P.threadId());
+      F.Profiles.push_back(std::move(P));
+    }
+    TidOffset = MaxTid;
+    R.Methods.clear();
+    R.Profiles.clear();
+    F.Inputs.push_back(std::move(R));
   }
-  return OS.str();
+  return F;
 }

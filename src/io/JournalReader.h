@@ -11,20 +11,21 @@
 /// the truncation rule is "salvage exactly the valid prefix", never
 /// resynchronize past damage. Recovered state is the state at the last
 /// valid Commit (or Close) sentinel; structurally valid segments after
-/// it are uncommitted and reported as dropped.
+/// it are uncommitted and reported as dropped. foldJournals is the one
+/// fold over those states: `recover` folds one journal, `merge` many.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DJX_IO_JOURNALREADER_H
 #define DJX_IO_JOURNALREADER_H
 
+#include "core/Analyzer.h"
 #include "core/ThreadProfile.h"
 #include "io/ProfileJournal.h"
 #include "jvm/MethodRegistry.h"
 #include "support/VmError.h"
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -51,10 +52,12 @@ struct JournalRecovery {
 
   /// Rebuilt method registry content; index == original MethodId.
   std::vector<MethodInfo> Methods;
-  /// Committed snapshot text per thread (last writer wins), and the
-  /// parsed profiles, in thread-id order.
-  std::map<uint64_t, std::string> Snapshots;
+  /// Committed profiles (last snapshot per thread), in thread-id order.
   std::vector<ThreadProfile> Profiles;
+  /// Committed, CRC-valid snapshots that failed to parse (a writer bug
+  /// or a checksum collision), plus, after foldJournals, profiles it
+  /// could not re-key: each loses one thread's profile.
+  uint64_t SnapshotsDropped = 0;
 
   /// Structurally valid segments, in file order (committed or not).
   std::vector<JournalSegmentInfo> Segments;
@@ -85,7 +88,8 @@ struct JournalRecovery {
   /// True when the recovered report does not cover the full run: no
   /// clean Close, or data was dropped getting here.
   bool degraded() const {
-    return !Closed || SegmentsUncommitted != 0 || TrailingBytes != 0;
+    return !Closed || SegmentsUncommitted != 0 || TrailingBytes != 0 ||
+           SnapshotsDropped != 0;
   }
 };
 
@@ -94,15 +98,30 @@ struct JournalRecovery {
 /// false.
 JournalRecovery readJournal(const std::string &Path);
 
-/// Registry whose MethodIds equal the journal's original ids.
-MethodRegistry buildJournalMethodRegistry(const JournalRecovery &R);
+/// N journals folded into one analyzable profile set.
+struct JournalFold {
+  /// Per-input accounting, in argument order; HeaderValid == false marks
+  /// an unusable input. Each entry's Methods and Profiles have moved into
+  /// the members below.
+  std::vector<JournalRecovery> Inputs;
+  /// Union registry. The first input keeps its original ids; a later
+  /// input's method reuses an earlier input's id only when class, method
+  /// and line table all match, so same-named methods of different
+  /// programs keep their own lines. A profile naming a method id its
+  /// journal never registered is dropped and counted in SnapshotsDropped.
+  MethodRegistry Methods;
+  /// Every input's profiles in input order, thread ids offset past the
+  /// previous inputs' (id 0, unknown provenance, is kept) and method ids
+  /// remapped into Methods.
+  std::vector<ThreadProfile> Profiles;
 
-/// Merge support: rewrites one snapshot's text, adding \p ThreadOffset
-/// to every real thread id (id 0 — unknown provenance — is preserved)
-/// and mapping method ids through \p MethodMap (index = original id).
-/// Ids absent from \p MethodMap pass through unchanged.
-std::string remapSnapshotText(const std::string &Text, uint64_t ThreadOffset,
-                              const std::vector<MethodId> &MethodMap);
+  /// mergeProfiles over Profiles: the report-ready profile.
+  MergedProfile analyze() const;
+};
+
+/// Reads every journal in \p Paths and folds them: the whole of
+/// `djxperf merge`, and of `recover` for one path. Never throws.
+JournalFold foldJournals(const std::vector<std::string> &Paths);
 
 } // namespace djx
 

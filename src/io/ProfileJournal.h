@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Append-only, checksummed journal of profile state: `djxperf --journal`
-/// streams per-epoch profile deltas to disk so a killed or wedged
-/// profiler still yields a usable report (`djxperf recover`), and many
-/// single-VM journals fold into one fleet report (`djxperf merge`).
+/// Append-only, checksummed journal of profile state: at every epoch
+/// `djxperf --journal` appends a full snapshot of each thread whose
+/// profile changed since its last one, so a killed or wedged profiler
+/// still yields a usable report (`djxperf recover`), and many single-VM
+/// journals fold into one fleet report (`djxperf merge`).
 ///
 /// On-disk format (all integers little-endian):
 ///

@@ -306,6 +306,18 @@ TEST(CliJournal, MergeAggregatesJournalsAndSkipsGarbage) {
   std::remove(Bad.c_str());
 }
 
+// The journal verbs share the main flag loop's wording for a dangling
+// value flag (exit 2, like every usage error).
+TEST(CliJournal, HtmlWithoutValueIsUsageError) {
+  for (const char *Verb : {"recover", "merge"}) {
+    auto [Exit, Out] = run("'" + DjxperfPath + "' " + Verb +
+                           " '" + tmpFile("never_read.djxj") + "' --html");
+    EXPECT_EQ(Exit, 2) << Verb << ": " << Out;
+    EXPECT_NE(Out.find("error: --html needs a value"), std::string::npos)
+        << Verb << ": " << Out;
+  }
+}
+
 // Journal I/O failure degrades journaling to off with a warning; the
 // run itself still succeeds with its normal report.
 TEST(CliJournal, WriteErrorDegradesJournalNotTheRun) {

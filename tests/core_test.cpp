@@ -269,6 +269,51 @@ TEST(ThreadProfile, ReadRejectsGarbage) {
 
 // --- Analyzer -----------------------------------------------------------------------
 
+TEST(ThreadProfile, RemapIdsOffsetsThreadsAndMapsMethods) {
+  // One node, one group, an unknown-tid homenode line. Offset 10, map
+  // method 0 -> 7.
+  std::istringstream In("djxprofile v1\n"
+                        "thread 2 worker-1\n"
+                        "cct 2\n"
+                        "node 1 0 0 4\n"
+                        "group 2 1 long[] 1 64 0 0 1 0 0 0 0 0 0\n"
+                        "homenode 0 1 0 3\n"
+                        "homenode 2 1 0 5\n"
+                        "totals 1 0 0 0 0 0 0\n"
+                        "unattributed 0\n"
+                        "end\n");
+  ThreadProfile P;
+  ASSERT_TRUE(P.readFrom(In));
+  ASSERT_TRUE(P.remapIds(10, {7}));
+  EXPECT_EQ(P.threadId(), 12u);
+  EXPECT_EQ(P.cct().methodOf(1), 7u);
+  EXPECT_EQ(P.cct().bciOf(1), 4u);
+  ASSERT_EQ(P.groups().size(), 2u);
+  // Alloc-thread 0 (unknown provenance) is preserved; 2 is offset.
+  const auto &Unknown = P.groups().at(AllocKey{0, 1});
+  EXPECT_EQ(Unknown.HomeNodeSamples.at(0), 3u);
+  const auto &Own = P.groups().at(AllocKey{12, 1});
+  EXPECT_EQ(Own.TypeName, "long[]");
+  EXPECT_EQ(Own.AllocBytes, 64u);
+  EXPECT_EQ(Own.HomeNodeSamples.at(0), 5u);
+}
+
+TEST(ThreadProfile, RemapIdsRejectsUnmappedOrFoldedMethods) {
+  ThreadProfile P(1, "t");
+  P.cct().child(kCctRoot, 0, 4);
+  P.cct().child(kCctRoot, 1, 4);
+  P.recordAllocation(1, "int[]", 32);
+  std::ostringstream Before;
+  P.writeTo(Before);
+  // Method 1 has no entry.
+  EXPECT_FALSE(P.remapIds(5, {3}));
+  // Methods 0 and 1 both map to 3: node 2 would collapse into node 1.
+  EXPECT_FALSE(P.remapIds(5, {3, 3}));
+  std::ostringstream After;
+  P.writeTo(After);
+  EXPECT_EQ(Before.str(), After.str());
+}
+
 TEST(Analyzer, MergesEqualPathsAcrossThreads) {
   // Two threads allocate at the *same* call path; the analyzer must
   // coalesce them into one group (§5.2).

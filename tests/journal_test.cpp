@@ -21,7 +21,11 @@
 ///  - Injected I/O faults: write errors degrade journaling to off
 ///    without touching the run; short writes leave a recoverable torn
 ///    prefix; corrupt bits never survive read-back.
-///  - Merge: remapped snapshots from N journals fold into keyed sums.
+///  - Fold: foldJournals over N journals sums exactly; a snapshot that
+///    passes its CRC but does not parse, or names an unregistered
+///    method, is counted and marks the recovery degraded; same-named
+///    methods of different programs keep their own line tables in either
+///    argument order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +48,7 @@
 #include <cstring>
 #include <fstream>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -143,13 +148,14 @@ struct JournaledRun {
 
 /// Runs the journal workload with the CLI's wiring (flush at round
 /// barriers, closeClean at the end) and returns the live-side state the
-/// journal must reproduce. MaxRounds = 0 runs to completion.
+/// journal must reproduce. MaxRounds = 0 runs to completion. NumaRemote
+/// runs the numaRemote program instead of the parallel batik one.
 JournaledRun runJournaled(const std::string &Path, unsigned Jobs,
-                          uint64_t MaxRounds = 0) {
+                          uint64_t MaxRounds = 0, bool NumaRemote = false) {
   ParallelConfig Pc = journalWorkload();
   Pc.Jobs = Jobs;
   Pc.MaxRounds = MaxRounds;
-  JavaVm Vm(parallelVmConfig(Pc));
+  JavaVm Vm(NumaRemote ? numaRemoteVmConfig(Pc) : parallelVmConfig(Pc));
   DjxPerf Prof(Vm, parallelAgentConfig(Pc));
   Prof.start();
   std::string Err;
@@ -161,7 +167,8 @@ JournaledRun runJournaled(const std::string &Path, unsigned Jobs,
     return false;
   };
   JournaledRun R;
-  ParallelOutcome Out = runParallelWorkload(Vm, &Prof, Pc);
+  ParallelOutcome Out = NumaRemote ? runNumaRemoteWorkload(Vm, &Prof, Pc)
+                                   : runParallelWorkload(Vm, &Prof, Pc);
   R.Rounds = Out.Rounds;
   Prof.stop();
   if (Journal) {
@@ -178,13 +185,28 @@ JournaledRun runJournaled(const std::string &Path, unsigned Jobs,
   return R;
 }
 
-/// Renders the recovered state the same way the live side did.
-std::string recoveredReport(const JournalRecovery &R) {
-  MethodRegistry Methods = buildJournalMethodRegistry(R);
-  std::vector<const ThreadProfile *> Parts;
-  for (const ThreadProfile &P : R.Profiles)
-    Parts.push_back(&P);
-  return renderObjectCentric(mergeProfiles(Parts), Methods);
+/// Renders what `recover` salvages from \p Path the same way the live
+/// side did.
+std::string recoveredReport(const std::string &Path) {
+  JournalFold F = foldJournals({Path});
+  return renderObjectCentric(F.analyze(), F.Methods);
+}
+
+/// Every sampled access context of a fold, rendered leaf first as
+/// "Class.method:line <- ..." through the fold's own registry.
+std::set<std::string> accessContexts(const JournalFold &F) {
+  std::set<std::string> Out;
+  for (const ThreadProfile &P : F.Profiles)
+    for (const auto &[Key, G] : P.groups())
+      for (const auto &[Node, Counts] : G.AccessBreakdown) {
+        std::string S;
+        for (const StackFrame &Fr : P.cct().path(Node))
+          S = F.Methods.qualifiedName(Fr.Method) + ":" +
+              std::to_string(F.Methods.lineForBci(Fr.Method, Fr.Bci)) +
+              (S.empty() ? "" : " <- " + S);
+        Out.insert(S);
+      }
+  return Out;
 }
 
 // --- Checksum --------------------------------------------------------------
@@ -291,7 +313,7 @@ TEST(JournalRoundTrip, RecoversCompleteRunExactly) {
     R.Profiles[I].writeTo(OS);
     EXPECT_EQ(OS.str(), Live.ProfileTexts[I]) << "thread " << I;
   }
-  EXPECT_EQ(recoveredReport(R), Live.Report);
+  EXPECT_EQ(recoveredReport(Path), Live.Report);
   std::remove(Path.c_str());
 }
 
@@ -344,10 +366,11 @@ TEST(JournalTruncation, CutAtCommitMatchesMaxRoundsReference) {
   // The reference run is jobs-invariant: the torn jobs-2 journal must
   // recover to the truncated run at any worker count.
   std::string RefPath = tempPath("ref.djxj");
+  std::string Recovered = recoveredReport(TornPath);
   for (unsigned Jobs : {1u, 2u, 4u}) {
     JournaledRun Ref = runJournaled(RefPath, Jobs, Round);
     EXPECT_EQ(Ref.Rounds, Round) << "jobs " << Jobs;
-    EXPECT_EQ(recoveredReport(R), Ref.Report) << "jobs " << Jobs;
+    EXPECT_EQ(Recovered, Ref.Report) << "jobs " << Jobs;
   }
 
   std::remove(Path.c_str());
@@ -427,10 +450,10 @@ TEST(JournalFuzz, SalvagesExactlyTheValidPrefix) {
     ASSERT_TRUE(R.HeaderValid) << Label;
     EXPECT_EQ(R.LastEpoch, lastDurableEpochBefore(Whole, Damage)) << Label;
     EXPECT_LE(R.BytesKept, Mut.size()) << Label;
-    // Salvaged profiles always parse back (readJournal drops the
-    // unparseable), and the report renders without crashing.
-    EXPECT_EQ(R.Profiles.size(), R.Snapshots.size()) << Label;
-    recoveredReport(R);
+    // Damage never reaches the snapshot parser (the CRC rejects it
+    // first), and the report renders without crashing.
+    EXPECT_EQ(R.SnapshotsDropped, 0u) << Label;
+    recoveredReport(MutPath);
   }
   std::remove(Path.c_str());
   std::remove(MutPath.c_str());
@@ -475,7 +498,7 @@ TEST(JournalFaults, ShortWriteLeavesRecoverableTornPrefix) {
   if (R.HeaderValid) {
     EXPECT_TRUE(R.degraded());
     EXPECT_FALSE(R.Closed);
-    recoveredReport(R);
+    recoveredReport(Path);
   }
   std::remove(Path.c_str());
 }
@@ -501,78 +524,130 @@ TEST(JournalFaults, CorruptBitsNeverSurviveReadBack) {
   std::remove(Path.c_str());
 }
 
+// --- Unusable snapshots ----------------------------------------------------
+
+/// Replaces segment \p S's payload in journal bytes \p File and re-seals
+/// its length and CRC, so only the layers above the checksum can object.
+std::string resealSegment(const std::string &File, const JournalSegmentInfo &S,
+                          const std::string &Payload) {
+  std::string Header = File.substr(S.Offset, kJournalSegmentHeaderBytes);
+  for (int I = 0; I < 4; ++I)
+    Header[24 + I] = static_cast<char>(Payload.size() >> (8 * I));
+  uint32_t Crc =
+      Crc32c::compute(Header.data() + 4, kJournalSegmentHeaderBytes - 8);
+  Crc = Crc32c::compute(Payload.data(), Payload.size(), Crc);
+  for (int I = 0; I < 4; ++I)
+    Header[28 + I] = static_cast<char>(Crc >> (8 * I));
+  return File.substr(0, S.Offset) + Header + Payload +
+         File.substr(S.Offset + S.Length);
+}
+
+TEST(JournalRecover, UnusableCommittedSnapshotIsCountedAndDegrades) {
+  std::string Path = tempPath("dropsnap_src.djxj");
+  runJournaled(Path, 2);
+  std::string Full = slurp(Path);
+  JournalRecovery Whole = readJournal(Path);
+  ASSERT_TRUE(Whole.Closed && Whole.CloseClean);
+  ASSERT_FALSE(Whole.degraded());
+
+  // The file's last Snapshot is its thread's last one, so no later
+  // snapshot replaces it.
+  const JournalSegmentInfo *Last = nullptr;
+  for (const JournalSegmentInfo &S : Whole.Segments)
+    if (S.Type == static_cast<uint32_t>(SegmentType::Snapshot))
+      Last = &S;
+  ASSERT_NE(Last, nullptr);
+  const std::string Tid =
+      Full.substr(Last->Offset + kJournalSegmentHeaderBytes, 8);
+  // Parses, but names a method the journal never registered.
+  ThreadProfile Unregistered(1, "t");
+  Unregistered.cct().child(kCctRoot, 777777, 0);
+  std::ostringstream Text;
+  Unregistered.writeTo(Text);
+
+  struct Case {
+    const char *Label;
+    std::string Payload;
+    uint64_t DroppedByRead; ///< The rest is dropped by the fold.
+  };
+  const std::string Bad = tempPath("dropsnap.djxj");
+  for (const Case &C : {Case{"unparseable", Tid + "not a profile\n", 1},
+                        Case{"unregistered method", Tid + Text.str(), 0}}) {
+    spit(Bad, resealSegment(Full, *Last, C.Payload));
+    JournalRecovery R = readJournal(Bad);
+    ASSERT_TRUE(R.HeaderValid) << C.Label;
+    EXPECT_TRUE(R.Closed && R.CloseClean) << C.Label;
+    EXPECT_EQ(R.SegmentsCommitted, Whole.SegmentsCommitted) << C.Label;
+    EXPECT_TRUE(R.TruncationReason.empty()) << C.Label;
+    EXPECT_EQ(R.SnapshotsDropped, C.DroppedByRead) << C.Label;
+
+    JournalFold F = foldJournals({Bad});
+    ASSERT_EQ(F.Inputs.size(), 1u);
+    EXPECT_EQ(F.Inputs[0].SnapshotsDropped, 1u) << C.Label;
+    EXPECT_TRUE(F.Inputs[0].degraded()) << C.Label;
+    EXPECT_EQ(F.Profiles.size(), Whole.Profiles.size() - 1) << C.Label;
+  }
+  std::remove(Path.c_str());
+  std::remove(Bad.c_str());
+}
+
 // --- Merge -----------------------------------------------------------------
 
 TEST(JournalMerge, TwoIdenticalJournalsSumToDouble) {
   std::string P1 = tempPath("merge1.djxj");
   std::string P2 = tempPath("merge2.djxj");
-  JournaledRun Live = runJournaled(P1, 2);
+  runJournaled(P1, 2);
   runJournaled(P2, 2);
 
-  MethodRegistry Union;
-  std::vector<ThreadProfile> All;
-  uint64_t TidOffset = 0;
-  for (const std::string &Path : {P1, P2}) {
-    JournalRecovery R = readJournal(Path);
-    ASSERT_TRUE(R.Closed && R.CloseClean) << Path;
-    std::vector<MethodId> Map;
-    for (const MethodInfo &M : R.Methods)
-      Map.push_back(Union.getOrRegister(M.ClassName, M.MethodName,
-                                        M.LineTable));
-    uint64_t MaxTid = TidOffset;
-    for (const auto &[Tid, Text] : R.Snapshots) {
-      (void)Tid;
-      std::istringstream IS(remapSnapshotText(Text, TidOffset, Map));
-      ThreadProfile P;
-      ASSERT_TRUE(P.readFrom(IS)) << Path;
-      MaxTid = std::max(MaxTid, P.threadId());
-      All.push_back(std::move(P));
-    }
-    TidOffset = MaxTid;
-  }
+  JournalFold Both = foldJournals({P1, P2});
+  ASSERT_EQ(Both.Inputs.size(), 2u);
+  for (const JournalRecovery &R : Both.Inputs)
+    ASSERT_TRUE(R.Closed && R.CloseClean);
+  JournalFold Single = foldJournals({P1});
+  // Identical inputs share every method id.
+  EXPECT_EQ(Both.Methods.size(), Single.Methods.size());
+  // Thread ids of the second input sit past the first's.
+  ASSERT_EQ(Both.Profiles.size(), 2 * Single.Profiles.size());
+  for (size_t I = 0; I < Single.Profiles.size(); ++I)
+    EXPECT_GT(Both.Profiles[Single.Profiles.size() + I].threadId(),
+              Single.Profiles.back().threadId());
 
-  std::vector<const ThreadProfile *> Parts;
-  for (const ThreadProfile &P : All)
-    Parts.push_back(&P);
-  MergedProfile Merged = mergeProfiles(Parts);
-
-  JournalRecovery Single = readJournal(P1);
-  std::vector<const ThreadProfile *> OneParts;
-  for (const ThreadProfile &P : Single.Profiles)
-    OneParts.push_back(&P);
-  MergedProfile One = mergeProfiles(OneParts);
-
+  MergedProfile Merged = Both.analyze();
+  MergedProfile One = Single.analyze();
   EXPECT_EQ(Merged.ThreadsMerged, 2 * One.ThreadsMerged);
   EXPECT_EQ(Merged.UnattributedSamples, 2 * One.UnattributedSamples);
   for (size_t K = 0; K < kNumPerfEventKinds; ++K)
     EXPECT_EQ(Merged.Totals.Counts[K], 2 * One.Totals.Counts[K]) << K;
-  (void)Live;
   std::remove(P1.c_str());
   std::remove(P2.c_str());
 }
 
-TEST(JournalMerge, RemapRewritesThreadAndMethodIds) {
-  // A tiny handwritten djxprofile: one node, one group, an unknown-tid
-  // homenode line. Offset 10, map method 0 -> 7.
-  std::string Text =
-      "djxprofile v1\n"
-      "thread 2 worker-1\n"
-      "cct 2\n"
-      "node 1 0 0 4\n"
-      "group 2 1 long[] 1 64 0 0 1 0 0 0 0 0 0\n"
-      "homenode 0 1 0 3\n"
-      "homenode 2 1 0 5\n"
-      "totals 1 0 0 0 0 0 0\n"
-      "unattributed 0\n"
-      "end\n";
-  std::vector<MethodId> Map = {7};
-  std::string Out = remapSnapshotText(Text, 10, Map);
-  EXPECT_NE(Out.find("thread 12 worker-1"), std::string::npos) << Out;
-  EXPECT_NE(Out.find("node 1 0 7 4"), std::string::npos) << Out;
-  EXPECT_NE(Out.find("group 12 1 long[]"), std::string::npos) << Out;
-  // Alloc-thread 0 (unknown provenance) is preserved; 2 is offset.
-  EXPECT_NE(Out.find("homenode 0 1 0 3"), std::string::npos) << Out;
-  EXPECT_NE(Out.find("homenode 12 1 0 5"), std::string::npos) << Out;
+// The parallel batik program and numaRemote both define Main.run, with
+// different line tables. Merging them must render each input's access
+// contexts with that input's own lines, whatever the argument order.
+TEST(JournalMerge, SameNamedMethodsOfDifferentProgramsKeepTheirLines) {
+  std::string A = tempPath("het_parallel.djxj");
+  std::string B = tempPath("het_numa.djxj");
+  runJournaled(A, 2);
+  runJournaled(B, 2, /*MaxRounds=*/0, /*NumaRemote=*/true);
+
+  std::set<std::string> Want = accessContexts(foldJournals({A}));
+  std::set<std::string> FromB = accessContexts(foldJournals({B}));
+  ASSERT_FALSE(Want.empty());
+  ASSERT_FALSE(FromB.empty());
+  Want.insert(FromB.begin(), FromB.end());
+
+  for (const auto &Order : {std::vector<std::string>{A, B},
+                            std::vector<std::string>{B, A}}) {
+    JournalFold F = foldJournals(Order);
+    unsigned MainRuns = 0;
+    for (MethodId M = 0; M < F.Methods.size(); ++M)
+      MainRuns += F.Methods.qualifiedName(M) == "Main.run";
+    EXPECT_EQ(MainRuns, 2u) << Order[0];
+    EXPECT_EQ(accessContexts(F), Want) << Order[0];
+  }
+  std::remove(A.c_str());
+  std::remove(B.c_str());
 }
 
 } // namespace

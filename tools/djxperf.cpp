@@ -321,195 +321,149 @@ std::string renderMetaReport(const MergedProfile &P,
 }
 
 /// Banner for a journal whose tail was lost (no clean Close, or valid
-/// segments dropped as uncommitted): states exactly what was kept and
-/// what was dropped, like renderDegradedBanner does for failed runs.
+/// segments dropped as uncommitted) or that lost threads to unparseable
+/// snapshots: states exactly what was kept and what was dropped, like
+/// renderDegradedBanner does for failed runs.
 std::string journalTruncationBanner(const std::string &Path,
                                     const JournalRecovery &R) {
+  const bool Torn =
+      !R.Closed || R.SegmentsUncommitted != 0 || R.TrailingBytes != 0;
   std::ostringstream OS;
-  OS << "=== DJXPerf DEGRADED report: journal truncated, salvaged prefix "
-        "only ===\n";
+  OS << "=== DJXPerf DEGRADED report: "
+     << (Torn ? "journal truncated, salvaged prefix only"
+              : "journal snapshot(s) unparseable")
+     << " ===\n";
   OS << "journal:  " << Path << '\n';
   OS << "kept:     " << R.SegmentsCommitted << " committed segment(s), "
      << R.BytesKept << " bytes, last durable epoch " << R.LastEpoch
      << " (round " << R.LastRound << ")\n";
   OS << "dropped:  " << R.SegmentsUncommitted
      << " uncommitted segment(s), " << R.TrailingBytes
-     << " trailing byte(s)\n";
+     << " trailing byte(s)";
+  if (R.SnapshotsDropped != 0)
+    OS << ", " << R.SnapshotsDropped << " unparseable snapshot(s)";
   std::string Reason = R.TruncationReason;
   if (Reason.empty())
-    Reason = R.Closed ? "bytes after the Close sentinel"
-                      : "journal ends without a Close sentinel (crash "
-                        "or kill before the run finished)";
-  OS << "reason:   " << Reason << '\n';
-  OS << "The profile below reflects the last durable epoch only; "
-        "everything after it was lost.\n\n";
+    Reason = !R.Closed ? "journal ends without a Close sentinel (crash "
+                         "or kill before the run finished)"
+                       : "committed snapshot(s) failed to parse";
+  OS << "\nreason:   " << Reason << '\n';
+  OS << (Torn ? "The profile below reflects the last durable epoch only; "
+                "everything after it was lost.\n\n"
+              : "The profile below lacks the threads of the dropped "
+                "snapshot(s).\n\n");
   return OS.str();
 }
 
 /// Per-file stderr accounting shared by recover and merge.
 void printJournalAccounting(const std::string &Path,
                             const JournalRecovery &R) {
+  std::string Notes;
+  if (R.SnapshotsDropped != 0)
+    Notes = ", " + std::to_string(R.SnapshotsDropped) +
+            " unparseable snapshot(s)";
+  if (!R.TruncationReason.empty())
+    Notes += "; stopped at: " + R.TruncationReason;
   std::fprintf(stderr,
                "djxperf: %s: kept %llu committed segment(s) (%llu bytes) "
                "through epoch %llu (round %llu); dropped %llu "
-               "uncommitted segment(s), %llu trailing byte(s)%s%s\n",
+               "uncommitted segment(s), %llu trailing byte(s)%s\n",
                Path.c_str(), (unsigned long long)R.SegmentsCommitted,
                (unsigned long long)R.BytesKept,
                (unsigned long long)R.LastEpoch,
                (unsigned long long)R.LastRound,
                (unsigned long long)R.SegmentsUncommitted,
-               (unsigned long long)R.TrailingBytes,
-               R.TruncationReason.empty() ? "" : "; stopped at: ",
-               R.TruncationReason.c_str());
+               (unsigned long long)R.TrailingBytes, Notes.c_str());
 }
 
-/// `djxperf recover <journal> [--html <file>]`: salvage the valid prefix
-/// and render the report the journaled run would have produced. A
-/// complete journal reproduces the run's stdout byte for byte (degraded
-/// banner included, for failed runs); a torn journal gets a truncation
-/// banner stating what was kept and dropped. Exit 0 unless the file is
-/// not a usable journal at all (exit code of JournalCorrupt).
-int runRecover(int Argc, char **Argv) {
-  std::string Path, HtmlPath;
-  for (int I = 2; I < Argc; ++I) {
-    std::string A = Argv[I];
-    if (A == "--html" && I + 1 < Argc) {
-      HtmlPath = Argv[++I];
-    } else if (!A.empty() && A[0] == '-') {
-      std::fprintf(stderr, "error: unknown recover flag '%s'\n", A.c_str());
-      return 2;
-    } else if (Path.empty()) {
-      Path = A;
-    } else {
-      std::fprintf(stderr, "error: recover takes one journal\n");
-      return 2;
-    }
-  }
-  if (Path.empty()) {
-    std::fprintf(stderr, "usage: %s recover <journal> [--html <file>]\n",
-                 Argv[0]);
-    return 2;
-  }
-
-  JournalRecovery R = readJournal(Path);
-  if (!R.HeaderValid) {
-    std::fprintf(stderr, "djxperf: FAILED: %s: %s\n", Path.c_str(),
-                 R.HeaderError.c_str());
-    return vmErrorExitCode(VmErrorKind::JournalCorrupt);
-  }
-  printJournalAccounting(Path, R);
-
-  MethodRegistry Methods = buildJournalMethodRegistry(R);
-  std::vector<const ThreadProfile *> Parts;
-  Parts.reserve(R.Profiles.size());
-  for (const ThreadProfile &P : R.Profiles)
-    Parts.push_back(&P);
-  MergedProfile P = mergeProfiles(Parts);
-
-  if (R.Closed && !R.CloseClean)
-    std::fputs(renderDegradedBanner(R.CloseError, R.CloseSamplesHandled,
-                                    R.CloseSamplesDropped)
-                   .c_str(),
-               stdout);
-  else if (R.degraded())
-    std::fputs(journalTruncationBanner(Path, R).c_str(), stdout);
-  std::fputs(renderMetaReport(P, Methods, R.Meta).c_str(), stdout);
-
-  if (!HtmlPath.empty()) {
-    std::string Title =
-        R.Meta.Title.empty() ? "DJXPerf: recovered " + Path : R.Meta.Title;
-    if (!writeHtmlReport(P, Methods, HtmlPath, optionsFromMeta(R.Meta),
-                         Title)) {
-      std::fprintf(stderr, "error: cannot write %s\n", HtmlPath.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "djxperf: wrote %s\n", HtmlPath.c_str());
-  }
-  return 0;
-}
-
-/// `djxperf merge <j1> <j2> ... [--html <file>]`: fold many journals
-/// into one aggregate report. Thread ids are offset per input so every
-/// simulated thread stays distinct (keyed-sum semantics: the merged
-/// totals are the sums of the per-journal reports); method ids are
-/// remapped through one union registry. Unusable inputs are skipped with
+/// `djxperf recover <journal> [--html <file>]` and `djxperf merge
+/// <journal>... [--html <file>]`: one fold (foldJournals) over the
+/// inputs, rendered with the first Meta segment's options.
+///
+/// recover salvages one journal's valid prefix and renders the report
+/// the journaled run would have produced: a complete journal reproduces
+/// the run's stdout byte for byte (degraded banner included, for failed
+/// runs); a torn journal gets a truncation banner stating what was kept
+/// and dropped. Exit 0 unless the file is not a usable journal at all
+/// (exit code of JournalCorrupt).
+///
+/// merge folds many journals into one aggregate report whose totals are
+/// the sums of the per-journal reports. Unusable inputs are skipped with
 /// per-file accounting; exit is 0 if at least one input contributed.
-int runMerge(int Argc, char **Argv) {
+int runJournalVerb(int Argc, char **Argv) {
+  const std::string Verb = Argv[1];
+  const bool Recover = Verb == "recover";
   std::vector<std::string> Paths;
   std::string HtmlPath;
   for (int I = 2; I < Argc; ++I) {
     std::string A = Argv[I];
-    if (A == "--html" && I + 1 < Argc) {
+    if (A == "--html") {
+      if (I + 1 >= Argc) {
+        std::fprintf(stderr, "error: --html needs a value\n");
+        return 2;
+      }
       HtmlPath = Argv[++I];
     } else if (!A.empty() && A[0] == '-') {
-      std::fprintf(stderr, "error: unknown merge flag '%s'\n", A.c_str());
+      std::fprintf(stderr, "error: unknown %s flag '%s'\n", Verb.c_str(),
+                   A.c_str());
+      return 2;
+    } else if (Recover && !Paths.empty()) {
+      std::fprintf(stderr, "error: recover takes one journal\n");
       return 2;
     } else {
       Paths.push_back(A);
     }
   }
   if (Paths.empty()) {
-    std::fprintf(stderr,
-                 "usage: %s merge <journal>... [--html <file>]\n", Argv[0]);
+    std::fprintf(stderr, "usage: %s %s %s [--html <file>]\n", Argv[0],
+                 Verb.c_str(), Recover ? "<journal>" : "<journal>...");
     return 2;
   }
 
-  MethodRegistry Union;
-  std::vector<ThreadProfile> Merged;
-  JournalMeta Meta;
-  bool HaveMeta = false;
-  uint64_t TidOffset = 0;
+  JournalFold F = foldJournals(Paths);
+  const JournalMeta *Meta = nullptr;
   unsigned Usable = 0;
-  for (const std::string &Path : Paths) {
-    JournalRecovery R = readJournal(Path);
+  for (size_t I = 0; I < Paths.size(); ++I) {
+    const JournalRecovery &R = F.Inputs[I];
     if (!R.HeaderValid) {
-      std::fprintf(stderr, "djxperf: %s: skipped (%s)\n", Path.c_str(),
-                   R.HeaderError.c_str());
+      std::fprintf(stderr,
+                   Recover ? "djxperf: FAILED: %s: %s\n"
+                           : "djxperf: %s: skipped (%s)\n",
+                   Paths[I].c_str(), R.HeaderError.c_str());
       continue;
     }
     ++Usable;
-    printJournalAccounting(Path, R);
-    if (!HaveMeta && R.HasMeta) {
-      Meta = R.Meta;
-      HaveMeta = true;
-    }
-    std::vector<MethodId> Map;
-    Map.reserve(R.Methods.size());
-    for (const MethodInfo &M : R.Methods)
-      Map.push_back(Union.getOrRegister(M.ClassName, M.MethodName,
-                                        M.LineTable));
-    uint64_t MaxTid = TidOffset;
-    for (const auto &[Tid, Text] : R.Snapshots) {
-      (void)Tid;
-      std::istringstream IS(remapSnapshotText(Text, TidOffset, Map));
-      ThreadProfile P;
-      if (!P.readFrom(IS)) {
-        std::fprintf(stderr,
-                     "djxperf: %s: dropped one unparseable snapshot\n",
-                     Path.c_str());
-        continue;
-      }
-      MaxTid = std::max(MaxTid, P.threadId());
-      Merged.push_back(std::move(P));
-    }
-    TidOffset = MaxTid;
+    printJournalAccounting(Paths[I], R);
+    if (!Meta && R.HasMeta)
+      Meta = &R.Meta;
   }
   if (Usable == 0) {
-    std::fprintf(stderr, "djxperf: FAILED: no usable journals\n");
+    if (!Recover)
+      std::fprintf(stderr, "djxperf: FAILED: no usable journals\n");
     return vmErrorExitCode(VmErrorKind::JournalCorrupt);
   }
+  const JournalMeta Options = Meta ? *Meta : JournalMeta();
 
-  std::vector<const ThreadProfile *> Parts;
-  Parts.reserve(Merged.size());
-  for (const ThreadProfile &P : Merged)
-    Parts.push_back(&P);
-  MergedProfile P = mergeProfiles(Parts);
-  std::fputs(renderMetaReport(P, Union, Meta).c_str(), stdout);
+  MergedProfile P = F.analyze();
+  if (Recover) {
+    const JournalRecovery &R = F.Inputs[0];
+    if (R.Closed && !R.CloseClean)
+      std::fputs(renderDegradedBanner(R.CloseError, R.CloseSamplesHandled,
+                                      R.CloseSamplesDropped)
+                     .c_str(),
+                 stdout);
+    else if (R.degraded())
+      std::fputs(journalTruncationBanner(Paths[0], R).c_str(), stdout);
+  }
+  std::fputs(renderMetaReport(P, F.Methods, Options).c_str(), stdout);
 
   if (!HtmlPath.empty()) {
-    std::string Title =
-        "DJXPerf: merge of " + std::to_string(Usable) + " journal(s)";
-    if (!writeHtmlReport(P, Union, HtmlPath, optionsFromMeta(Meta),
+    std::string Title = Options.Title.empty()
+                            ? "DJXPerf: recovered " + Paths[0]
+                            : Options.Title;
+    if (!Recover)
+      Title = "DJXPerf: merge of " + std::to_string(Usable) + " journal(s)";
+    if (!writeHtmlReport(P, F.Methods, HtmlPath, optionsFromMeta(Options),
                          Title)) {
       std::fprintf(stderr, "error: cannot write %s\n", HtmlPath.c_str());
       return 1;
@@ -523,10 +477,9 @@ int runMerge(int Argc, char **Argv) {
 
 int main(int Argc, char **Argv) {
   // Journal verbs run without a VM: dispatch before the flag loop.
-  if (Argc >= 2 && std::strcmp(Argv[1], "recover") == 0)
-    return runRecover(Argc, Argv);
-  if (Argc >= 2 && std::strcmp(Argv[1], "merge") == 0)
-    return runMerge(Argc, Argv);
+  if (Argc >= 2 && (std::strcmp(Argv[1], "recover") == 0 ||
+                    std::strcmp(Argv[1], "merge") == 0))
+    return runJournalVerb(Argc, Argv);
 
   DjxPerfConfig Agent;
   PerfEventKind Kind = PerfEventKind::L1Miss;
