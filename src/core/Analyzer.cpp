@@ -77,7 +77,8 @@ djx::mergeProfiles(const std::vector<const ThreadProfile *> &Parts) {
   // step of §5.2.
   auto ResolveAllocNode = [&](const AllocKey &Key) -> CctNodeId {
     auto It = ByThread.find(Key.AllocThread);
-    if (It == ByThread.end() || Key.AllocNode == kCctRoot)
+    if (It == ByThread.end() || Key.AllocNode == kCctRoot ||
+        Key.AllocNode >= It->second->cct().size())
       return kCctRoot; // Unknown provenance.
     return Out.Tree.insertPath(It->second->cct().path(Key.AllocNode));
   };

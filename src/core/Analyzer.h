@@ -84,8 +84,8 @@ struct MergedProfile {
 };
 
 /// Merges per-thread profiles. Allocation identities referring to a thread
-/// whose profile is missing degrade to an "unknown context" group under
-/// the merged root.
+/// whose profile is missing, or to a node outside that thread's CCT,
+/// degrade to an "unknown context" group under the merged root.
 MergedProfile mergeProfiles(const std::vector<const ThreadProfile *> &Parts);
 
 /// Convenience: loads every "*.djxprof" file in \p Dir and merges.

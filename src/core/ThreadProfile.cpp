@@ -6,6 +6,7 @@
 
 #include "core/ThreadProfile.h"
 
+#include <algorithm>
 #include <cassert>
 #include <istream>
 #include <ostream>
@@ -229,5 +230,15 @@ bool ThreadProfile::readFrom(std::istream &IS) {
       return false;
     }
   }
+  // Access and code contexts name nodes of this profile's own tree.
+  // (Allocation nodes name the allocating thread's tree; the fold checks
+  // those, where the threads meet.)
+  auto InTree = [&](const auto &Entry) { return Entry.first < Tree.size(); };
+  if (!std::all_of(CodeCentric.begin(), CodeCentric.end(), InTree))
+    return false;
+  for (const auto &Entry : Groups)
+    if (!std::all_of(Entry.second.AccessBreakdown.begin(),
+                     Entry.second.AccessBreakdown.end(), InTree))
+      return false;
   return SawEnd;
 }

@@ -126,7 +126,8 @@ public:
   void writeTo(std::ostream &OS) const;
 
   /// Parses a profile written by writeTo. \returns false on malformed
-  /// input.
+  /// input, including an access or code context that is not a node of
+  /// the profile's own CCT.
   bool readFrom(std::istream &IS);
 
   /// Re-keys the profile into a merged id space: adds \p ThreadOffset to

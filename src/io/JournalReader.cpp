@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <unordered_map>
 
 using namespace djx;
 
@@ -72,6 +73,20 @@ bool sameMethod(const MethodInfo &A, const MethodInfo &B) {
                     [](const LineEntry &X, const LineEntry &Y) {
                       return X.Bci == Y.Bci && X.Line == Y.Line;
                     });
+}
+
+/// True when every allocation node \p P names lies inside the allocating
+/// thread's CCT, for the threads in \p TreeSizes (thread id -> tree
+/// size). A key naming any other thread resolves to unknown provenance.
+bool allocNodesInTrees(const ThreadProfile &P,
+                       const std::unordered_map<uint64_t, size_t> &TreeSizes) {
+  for (const auto &Entry : P.groups()) {
+    const AllocKey &Key = Entry.first;
+    auto It = TreeSizes.find(Key.AllocThread);
+    if (It != TreeSizes.end() && Key.AllocNode >= It->second)
+      return false;
+  }
+  return true;
 }
 
 } // namespace
@@ -301,9 +316,14 @@ JournalFold djx::foldJournals(const std::vector<std::string> &Paths) {
                                       std::move(M.LineTable));
       Map.push_back(Id);
     }
+    // Allocation keys name other threads' trees, so they are checked
+    // here, where one input's threads meet, against the trees as read.
+    std::unordered_map<uint64_t, size_t> TreeSizes;
+    for (const ThreadProfile &P : R.Profiles)
+      TreeSizes.emplace(P.threadId(), P.cct().size());
     uint64_t MaxTid = TidOffset;
     for (ThreadProfile &P : R.Profiles) {
-      if (!P.remapIds(TidOffset, Map)) {
+      if (!allocNodesInTrees(P, TreeSizes) || !P.remapIds(TidOffset, Map)) {
         ++R.SnapshotsDropped;
         continue;
       }

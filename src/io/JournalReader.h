@@ -56,7 +56,8 @@ struct JournalRecovery {
   std::vector<ThreadProfile> Profiles;
   /// Committed, CRC-valid snapshots that failed to parse (a writer bug
   /// or a checksum collision), plus, after foldJournals, profiles it
-  /// could not re-key: each loses one thread's profile.
+  /// could not re-key or whose allocation nodes lie outside the
+  /// allocating thread's CCT: each loses one thread's profile.
   uint64_t SnapshotsDropped = 0;
 
   /// Structurally valid segments, in file order (committed or not).
@@ -108,7 +109,8 @@ struct JournalFold {
   /// input's method reuses an earlier input's id only when class, method
   /// and line table all match, so same-named methods of different
   /// programs keep their own lines. A profile naming a method id its
-  /// journal never registered is dropped and counted in SnapshotsDropped.
+  /// journal never registered, or an allocation node past the allocating
+  /// thread's CCT, is dropped and counted in SnapshotsDropped.
   MethodRegistry Methods;
   /// Every input's profiles in input order, thread ids offset past the
   /// previous inputs' (id 0, unknown provenance, is kept) and method ids

@@ -20,7 +20,7 @@ MemoryHierarchy::MemoryHierarchy(const MachineConfig &Cfg)
   for (uint32_t I = 0; I < Cpus; ++I) {
     L1s.emplace_back(Config.L1);
     L2s.emplace_back(Config.L2);
-    Dtlbs.emplace_back(Config.Dtlb);
+    Dtlbs.emplace_back(Config.Dtlb.asCache());
   }
   L3PerNode.reserve(Numa.numNodes());
   for (uint32_t I = 0; I < Numa.numNodes(); ++I)
@@ -106,6 +106,6 @@ void MemoryHierarchy::flushCaches(bool IncludeL3) {
   if (IncludeL3)
     for (Cache &C : L3PerNode)
       C.flush();
-  for (Tlb &T : Dtlbs)
+  for (Cache &T : Dtlbs)
     T.flush();
 }

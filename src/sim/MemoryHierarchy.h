@@ -18,7 +18,6 @@
 
 #include "sim/Cache.h"
 #include "sim/NumaTopology.h"
-#include "sim/Tlb.h"
 
 #include <cstdint>
 #include <memory>
@@ -41,6 +40,19 @@ struct LatencyModel {
   /// scales with the share of all other CPUs' DRAM traffic that targets
   /// the same home node.
   uint32_t DramContentionMaxPenalty = 240;
+};
+
+/// Geometry of a fully-associative data TLB. DTLB_LOAD_MISSES is one of
+/// the precise events DJXPerf can sample (§4.1).
+struct TlbConfig {
+  uint32_t Entries = 64;
+  uint32_t PageBytes = 4096;
+
+  /// The TLB as a cache: one set of Entries ways over page-sized lines.
+  CacheConfig asCache() const {
+    return CacheConfig{static_cast<uint64_t>(Entries) * PageBytes, PageBytes,
+                       Entries};
+  }
 };
 
 /// Full machine configuration.
@@ -94,8 +106,9 @@ public:
   /// modeled identically (the PMU distinguishes them by event type only).
   AccessResult accessMemory(uint32_t Cpu, uint64_t Addr);
 
-  /// Invalidates the line holding \p Addr in every cache (used by the GC
-  /// when it relocates objects, approximating coherence traffic).
+  /// Invalidates the line holding \p Addr in every cache (L1, L2 and L3;
+  /// TLBs keep their pages). The GC does not call this: it drops cache
+  /// contents wholesale through flushCaches.
   void invalidateLine(uint64_t Addr);
 
   /// Flushes caches and TLBs; NUMA placement is preserved. When
@@ -117,7 +130,7 @@ private:
   std::vector<Cache> L1s;        // One per CPU.
   std::vector<Cache> L2s;        // One per CPU.
   std::vector<Cache> L3PerNode;  // One shared L3 per socket.
-  std::vector<Tlb> Dtlbs;        // One per CPU.
+  std::vector<Cache> Dtlbs;      // One per CPU (TlbConfig::asCache).
   HierarchyStats Stats;
   /// Decaying per-node DRAM access counters for the contention proxy,
   /// plus a per-(node, cpu) breakdown so an access is only slowed by

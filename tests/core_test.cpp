@@ -267,6 +267,31 @@ TEST(ThreadProfile, ReadRejectsGarbage) {
   EXPECT_FALSE(P.readFrom(Truncated)) << "missing end marker";
 }
 
+TEST(ThreadProfile, ReadRejectsContextsOutsideItsTree) {
+  auto RoundTrips = [](const ThreadProfile &P) {
+    std::stringstream SS;
+    P.writeTo(SS);
+    ThreadProfile Q;
+    return Q.readFrom(SS);
+  };
+  ThreadProfile Access(1, "t");
+  CctNodeId N = Access.cct().child(kCctRoot, 0, 0);
+  Access.recordObjectSample(AllocKey{1, N}, "int[]", PerfEventKind::L1Miss,
+                            999999, false);
+  EXPECT_FALSE(RoundTrips(Access)) << "access context past the tree";
+  ThreadProfile Code(1, "t");
+  Code.cct().child(kCctRoot, 0, 0);
+  Code.recordCodeSample(2, PerfEventKind::L1Miss);
+  EXPECT_FALSE(RoundTrips(Code)) << "code context one past the tree";
+  // An allocation node names the allocating thread's tree, which the
+  // reader cannot see: the fold checks it.
+  ThreadProfile Alloc(1, "t");
+  N = Alloc.cct().child(kCctRoot, 0, 0);
+  Alloc.recordObjectSample(AllocKey{2, 999999}, "int[]",
+                           PerfEventKind::L1Miss, N, false);
+  EXPECT_TRUE(RoundTrips(Alloc));
+}
+
 // --- Analyzer -----------------------------------------------------------------------
 
 TEST(ThreadProfile, RemapIdsOffsetsThreadsAndMapsMethods) {
@@ -369,6 +394,15 @@ TEST(Analyzer, MissingAllocatorDegradesToUnknown) {
   MergedProfile M = mergeProfiles({&P2});
   ASSERT_EQ(M.Groups.size(), 1u);
   EXPECT_EQ(M.Groups.begin()->first, kCctRoot);
+  // The allocator is present but the node lies past its tree.
+  ThreadProfile P1(1, "alloc");
+  P1.cct().insertPath({{10, 0}});
+  P2.recordObjectSample(AllocKey{1, 999999}, "Ghost", PerfEventKind::L1Miss,
+                        AccessN, false);
+  M = mergeProfiles({&P1, &P2});
+  ASSERT_EQ(M.Groups.size(), 1u);
+  EXPECT_EQ(M.Groups.begin()->first, kCctRoot);
+  EXPECT_EQ(M.Groups.begin()->second.AddressSamples, 2u);
 }
 
 TEST(Analyzer, GroupsSortByMetric) {

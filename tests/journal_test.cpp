@@ -559,6 +559,25 @@ TEST(JournalRecover, UnusableCommittedSnapshotIsCountedAndDegrades) {
   ASSERT_NE(Last, nullptr);
   const std::string Tid =
       Full.substr(Last->Offset + kJournalSegmentHeaderBytes, 8);
+  const std::string Snapshot =
+      Full.substr(Last->Offset + kJournalSegmentHeaderBytes + 8,
+                  Last->Length - kJournalSegmentHeaderBytes - 8);
+  // The snapshot with token \p Field of its first line that starts with
+  // \p Prefix replaced by node id 999999.
+  auto PastTree = [&](const std::string &Prefix, int Field) {
+    size_t Begin = Snapshot.find("\n" + Prefix);
+    EXPECT_NE(Begin, std::string::npos) << Prefix;
+    if (Begin == std::string::npos)
+      return Snapshot;
+    for (int I = 0; I < Field; ++I)
+      Begin = Snapshot.find(' ', Begin + 1);
+    size_t End = Snapshot.find_first_of(" \n", Begin + 1);
+    return Snapshot.substr(0, Begin + 1) + "999999" + Snapshot.substr(End);
+  };
+  ThreadProfile Parsed;
+  std::istringstream SnapshotIn(Snapshot);
+  ASSERT_TRUE(Parsed.readFrom(SnapshotIn));
+  const std::string Thread = std::to_string(Parsed.threadId());
   // Parses, but names a method the journal never registered.
   ThreadProfile Unregistered(1, "t");
   Unregistered.cct().child(kCctRoot, 777777, 0);
@@ -571,8 +590,15 @@ TEST(JournalRecover, UnusableCommittedSnapshotIsCountedAndDegrades) {
     uint64_t DroppedByRead; ///< The rest is dropped by the fold.
   };
   const std::string Bad = tempPath("dropsnap.djxj");
-  for (const Case &C : {Case{"unparseable", Tid + "not a profile\n", 1},
-                        Case{"unregistered method", Tid + Text.str(), 0}}) {
+  for (const Case &C :
+       {Case{"unparseable", Tid + "not a profile\n", 1},
+        Case{"unregistered method", Tid + Text.str(), 0},
+        // An access context past the thread's own tree fails to parse.
+        Case{"access node past the tree", Tid + PastTree("access ", 3), 1},
+        // An allocation node past the allocating (here: the same)
+        // thread's tree parses; the fold drops it.
+        Case{"alloc node past the tree",
+             Tid + PastTree("group " + Thread + " ", 2), 0}}) {
     spit(Bad, resealSegment(Full, *Last, C.Payload));
     JournalRecovery R = readJournal(Bad);
     ASSERT_TRUE(R.HeaderValid) << C.Label;

@@ -7,7 +7,7 @@
 #include "sim/Cache.h"
 #include "sim/MemoryHierarchy.h"
 #include "sim/NumaTopology.h"
-#include "sim/Tlb.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -21,9 +21,7 @@ DJX_TEST_MODULE(sim_test, 90.0, 66.0,
     "src/sim/Cache.cpp",
     "src/sim/Cache.h",
     "src/sim/MemoryHierarchy.cpp",
-    "src/sim/MemoryHierarchy.h",
-    "src/sim/Tlb.cpp",
-    "src/sim/Tlb.h");
+    "src/sim/MemoryHierarchy.h");
 
 // --- Cache -------------------------------------------------------------------
 
@@ -98,10 +96,133 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CacheCapacityTest,
                          ::testing::Combine(::testing::Values(4, 32, 256),
                                             ::testing::Values(1, 2, 8)));
 
-// --- TLB ----------------------------------------------------------------------
+// --- Differential oracle ------------------------------------------------------
+
+/// Reference exact-LRU model: array-of-structs lines, a tag scan, then a
+/// separate victim scan (the last invalid way if any, else the first
+/// least-recently-used way). Cache must agree with it on every result.
+class ReferenceLru {
+public:
+  explicit ReferenceLru(const CacheConfig &Cfg)
+      : Cfg(Cfg), Lines(Cfg.numSets() * Cfg.Ways) {}
+
+  bool access(uint64_t Addr) {
+    uint64_t LA = Addr / Cfg.LineBytes;
+    ++Clock;
+    if (Line *Hit = findWay(LA)) {
+      Hit->LastUse = Clock;
+      ++Hits;
+      return true;
+    }
+    Line *Base = setOf(LA);
+    Line *Victim = nullptr;
+    for (uint32_t W = 0; W < Cfg.Ways; ++W) {
+      Line &Way = Base[W];
+      if (!Victim || !Way.Valid ||
+          (Victim->Valid && Way.Valid && Way.LastUse < Victim->LastUse))
+        Victim = &Way;
+    }
+    ++Misses;
+    if (Victim->Valid)
+      ++Evictions;
+    *Victim = Line{LA, Clock, true};
+    return false;
+  }
+
+  bool contains(uint64_t Addr) { return findWay(Addr / Cfg.LineBytes); }
+
+  void invalidate(uint64_t Addr) {
+    if (Line *Way = findWay(Addr / Cfg.LineBytes))
+      Way->Valid = false;
+  }
+
+  void flush() {
+    for (Line &L : Lines)
+      L.Valid = false;
+  }
+
+  uint64_t Hits = 0, Misses = 0, Evictions = 0;
+
+private:
+  struct Line {
+    uint64_t Tag = 0;
+    uint64_t LastUse = 0;
+    bool Valid = false;
+  };
+
+  Line *setOf(uint64_t LA) {
+    return &Lines[(LA % Cfg.numSets()) * Cfg.Ways];
+  }
+  Line *findWay(uint64_t LA) {
+    Line *Base = setOf(LA);
+    for (uint32_t W = 0; W < Cfg.Ways; ++W)
+      if (Base[W].Valid && Base[W].Tag == LA)
+        return &Base[W];
+    return nullptr;
+  }
+
+  CacheConfig Cfg;
+  std::vector<Line> Lines;
+  uint64_t Clock = 0;
+};
+
+class CacheOracleTest
+    : public ::testing::TestWithParam<std::tuple<CacheConfig, uint64_t>> {};
+
+/// Random seeded streams of access/invalidate/flush: every per-op result
+/// and every counter must match the reference model.
+TEST_P(CacheOracleTest, MatchesReferenceLru) {
+  auto [Cfg, Seed] = GetParam();
+  Cache C(Cfg);
+  ReferenceLru Ref(Cfg);
+  Random Rng(Seed);
+  // Twice as many distinct lines as the cache holds keeps sets
+  // conflicting; repeats of the last address exercise the MRU memo.
+  uint64_t Span = 2 * Cfg.numSets() * Cfg.Ways;
+  uint64_t Addr = 0;
+  for (int Op = 0; Op < 20000; ++Op) {
+    uint64_t Roll = Rng.nextBelow(1000);
+    if (Roll >= 300)
+      Addr = Rng.nextBelow(Span) * Cfg.LineBytes +
+             Rng.nextBelow(Cfg.LineBytes);
+    if (Roll < 2) {
+      C.flush();
+      Ref.flush();
+    } else if (Roll < 80) {
+      C.invalidate(Addr);
+      Ref.invalidate(Addr);
+      ASSERT_FALSE(C.contains(Addr)) << "op " << Op;
+    } else {
+      ASSERT_EQ(C.access(Addr), Ref.access(Addr)) << "op " << Op;
+    }
+    ASSERT_EQ(C.contains(Addr), Ref.contains(Addr)) << "op " << Op;
+  }
+  EXPECT_EQ(C.hits(), Ref.Hits);
+  EXPECT_EQ(C.misses(), Ref.Misses);
+  EXPECT_EQ(C.evictions(), Ref.Evictions);
+  EXPECT_GT(C.evictions(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheOracleTest,
+    ::testing::Combine(
+        ::testing::Values(CacheConfig{1024, 64, 1}, CacheConfig{1024, 64, 2},
+                          CacheConfig{4096, 64, 8},
+                          CacheConfig{16384, 64, 16},
+                          TlbConfig{64, 4096}.asCache(), // One-set DTLB.
+                          CacheConfig{64, 64, 1}),       // One line.
+        ::testing::Values(1u, 2u, 7919u)),
+    [](const auto &Info) {
+      const CacheConfig &C = std::get<0>(Info.param);
+      return std::to_string(C.numSets()) + "sets_" + std::to_string(C.Ways) +
+             "ways_" + std::to_string(C.LineBytes) + "B_seed" +
+             std::to_string(std::get<1>(Info.param));
+    });
+
+// --- TLB (a one-set Cache) -------------------------------------------------------
 
 TEST(Tlb, HitOnSamePage) {
-  Tlb T(TlbConfig{4, 4096});
+  Cache T(TlbConfig{4, 4096}.asCache());
   EXPECT_FALSE(T.access(0));
   EXPECT_TRUE(T.access(4095));
   EXPECT_FALSE(T.access(4096));
@@ -109,7 +230,7 @@ TEST(Tlb, HitOnSamePage) {
 }
 
 TEST(Tlb, LruEvictionAtCapacity) {
-  Tlb T(TlbConfig{2, 4096});
+  Cache T(TlbConfig{2, 4096}.asCache());
   T.access(0 * 4096);
   T.access(1 * 4096);
   T.access(0 * 4096);      // Page 0 MRU.
@@ -119,7 +240,7 @@ TEST(Tlb, LruEvictionAtCapacity) {
 }
 
 TEST(Tlb, FlushDropsAll) {
-  Tlb T(TlbConfig{8, 4096});
+  Cache T(TlbConfig{8, 4096}.asCache());
   T.access(0);
   T.flush();
   EXPECT_FALSE(T.access(0));
