@@ -9,8 +9,7 @@
 /// A problem supplies its lattice as a state type plus three callbacks;
 /// the solver owns iteration order (reverse postorder for forward
 /// problems, its mirror for backward ones) and the convergence loop.
-/// Type-state inference and escape analysis run it forward; liveness
-/// runs it backward.
+/// Type-state inference and escape analysis run it forward.
 ///
 //===----------------------------------------------------------------------===//
 

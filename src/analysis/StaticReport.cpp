@@ -6,7 +6,8 @@
 
 #include "analysis/StaticReport.h"
 
-#include "analysis/MethodAnalysis.h"
+#include "analysis/Cfg.h"
+#include "analysis/TypeState.h"
 #include "pmu/PerfEvent.h"
 #include "support/TextTable.h"
 
@@ -48,7 +49,8 @@ djx::collectStaticSiteFacts(const BytecodeProgram &P,
       if (!Instrumented)
         continue;
 
-      MethodAnalysis A = MethodAnalysis::analyze(M, Resolve);
+      const Cfg G = Cfg::build(M);
+      const TypeStateResult Types = inferTypeStates(M, G, Resolve);
       for (uint32_t Pc = 0; Pc + 1 < M.Code.size(); ++Pc) {
         if (M.Code[Pc].Op != Opcode::AllocHookPre)
           continue;
@@ -58,13 +60,13 @@ djx::collectStaticSiteFacts(const BytecodeProgram &P,
         uint32_t AllocPc = Pc + 1;
         StaticSiteFacts &F = Facts[SiteId];
         F.MethodName = M.qualifiedName();
-        F.LoopDepth = A.G.loopDepth(AllocPc);
-        const AllocSiteFact *Site = A.Types.siteAtPc(AllocPc);
+        F.LoopDepth = G.loopDepth(AllocPc);
+        const AllocSiteFact *Site = Types.siteAtPc(AllocPc);
         // Proven facts require the fixpoint to have reached the site
         // with its ordinal tracked and every callee resolved; anything
         // less reports as unknown rather than falsely local.
-        if (Site && Site->Tracked && !A.Types.Incomplete &&
-            A.Types.reachable(AllocPc)) {
+        if (Site && Site->Tracked && !Types.Incomplete &&
+            Types.reachable(AllocPc)) {
           F.Analyzed = true;
           F.Routes = Site->Routes;
         }

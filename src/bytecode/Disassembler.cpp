@@ -16,26 +16,10 @@ const char *superOpName(SuperOp K) {
   switch (K) {
   case SuperOp::Nop:
     return "nop";
-  case SuperOp::IConst:
-    return "iconst";
-  case SuperOp::ILoad:
-    return "iload";
-  case SuperOp::ALoad:
-    return "aload";
-  case SuperOp::IStore:
-    return "istore";
-  case SuperOp::AStore:
-    return "astore";
-  case SuperOp::PopV:
-    return "pop";
-  case SuperOp::DupV:
-    return "dup";
-  case SuperOp::SwapV:
-    return "swap";
+  case SuperOp::Move:
+    return "move";
   case SuperOp::Alu:
     return "alu";
-  case SuperOp::INeg:
-    return "ineg";
   case SuperOp::Br:
     return "br";
   case SuperOp::GotoExit:
@@ -54,12 +38,6 @@ const char *superOpName(SuperOp K) {
     return "pa_load_ll";
   case SuperOp::PAStoreLLL:
     return "pa_store_lll";
-  case SuperOp::CmpBranchLI:
-    return "cmp_branch_li";
-  case SuperOp::HookPre:
-    return "hook_pre";
-  case SuperOp::HookPost:
-    return "hook_post";
   }
   return "?";
 }
@@ -141,16 +119,17 @@ std::string djx::disassembleTrace(const BytecodeMethod &M,
     OS << "  " << O.Pc;
     if (O.NumSteps > 1)
       OS << ".." << (O.Pc + O.NumSteps - 1);
-    OS << ": " << superOpName(O.Kind);
+    // A move prints as the opcode it runs.
+    OS << ": "
+       << (O.Kind == SuperOp::Move ? opcodeName(O.Src)
+                                   : superOpName(O.Kind));
     switch (O.Kind) {
-    case SuperOp::IConst:
-      OS << " " << O.A;
-      break;
-    case SuperOp::ILoad:
-    case SuperOp::ALoad:
-    case SuperOp::IStore:
-    case SuperOp::AStore:
-      OS << " L" << O.A;
+    case SuperOp::Move:
+      if (O.Src == Opcode::IConst)
+        OS << " " << O.A;
+      else if (O.Src == Opcode::ILoad || O.Src == Opcode::ALoad ||
+               O.Src == Opcode::IStore || O.Src == Opcode::AStore)
+        OS << " L" << O.A;
       break;
     case SuperOp::Alu:
     case SuperOp::Access:
@@ -168,14 +147,6 @@ std::string djx::disassembleTrace(const BytecodeMethod &M,
     case SuperOp::CmpBranchLL:
       OS << " (" << opcodeName(O.Src) << ") L" << O.A << ", L" << O.B
          << " -> " << O.C << " [side exit]";
-      break;
-    case SuperOp::CmpBranchLI:
-      OS << " (" << opcodeName(O.Src) << ") L" << O.A << ", #" << O.B
-         << " -> " << O.C << " [side exit]";
-      break;
-    case SuperOp::HookPre:
-    case SuperOp::HookPost:
-      OS << " site=" << O.A;
       break;
     case SuperOp::IncLocal:
       OS << " L" << O.A << " += " << O.B;

@@ -6,11 +6,9 @@
 
 #include "bytecode/TraceCompiler.h"
 
-#include "analysis/MethodAnalysis.h"
 #include "bytecode/Verifier.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace djx;
 
@@ -32,20 +30,74 @@ bool djx::parseExecTier(const std::string &Name, ExecTier &Out) {
 
 namespace {
 
-/// Opcodes a trace must stop before: frame switches and agent hook
-/// dispatches execute only in the flat loop (hooks may re-enter run()).
-bool endsTrace(Opcode Op) {
+/// The base kind that runs \p Op alone: the shared handler execTrace
+/// calls for it. Frame switches and agent hook dispatches have none:
+/// they execute only in the flat loop (hooks may re-enter run()), so
+/// they end trace formation.
+std::optional<SuperOp> baseKind(Opcode Op) {
   switch (Op) {
+  case Opcode::Nop:
+    return SuperOp::Nop;
+  case Opcode::IConst:
+  case Opcode::ILoad:
+  case Opcode::ALoad:
+  case Opcode::IStore:
+  case Opcode::AStore:
+  case Opcode::Pop:
+  case Opcode::Dup:
+  case Opcode::Swap:
+    return SuperOp::Move;
+  case Opcode::IAdd:
+  case Opcode::ISub:
+  case Opcode::IMul:
+  case Opcode::IDiv:
+  case Opcode::IRem:
+  case Opcode::INeg:
+  case Opcode::IAnd:
+  case Opcode::IOr:
+  case Opcode::IXor:
+  case Opcode::IShl:
+  case Opcode::IShr:
+    return SuperOp::Alu;
+  case Opcode::Goto:
+    return SuperOp::GotoExit;
+  case Opcode::IfEq:
+  case Opcode::IfNe:
+  case Opcode::IfLt:
+  case Opcode::IfGe:
+  case Opcode::IfICmpEq:
+  case Opcode::IfICmpNe:
+  case Opcode::IfICmpLt:
+  case Opcode::IfICmpGe:
+  case Opcode::IfICmpGt:
+  case Opcode::IfICmpLe:
+  case Opcode::IfNull:
+  case Opcode::IfNonNull:
+    return SuperOp::Br;
+  case Opcode::New:
+  case Opcode::NewArray:
+  case Opcode::ANewArray:
+  case Opcode::MultiANewArray:
+    return SuperOp::Alloc;
+  case Opcode::PALoad:
+  case Opcode::PAStore:
+  case Opcode::AALoad:
+  case Opcode::AAStore:
+  case Opcode::ArrayLength:
+  case Opcode::GetField:
+  case Opcode::PutField:
+  case Opcode::GetRefField:
+  case Opcode::PutRefField:
+    return SuperOp::Access;
   case Opcode::Invoke:
   case Opcode::Return:
   case Opcode::IReturn:
   case Opcode::AReturn:
   case Opcode::AllocHookPre:
   case Opcode::AllocHookPost:
-    return true;
-  default:
-    return false;
+    break;
   }
+  return std::nullopt;
 }
 
 bool isICmpBranch(Opcode Op) {
@@ -82,12 +134,14 @@ struct ShapeTracker {
 /// (budget admission + frame sync), so the site is marked dead.
 constexpr uint32_t kMinTraceSteps = 3;
 
+/// Cap on constituent instructions per trace. The catalog's longest
+/// trace has 18.
+constexpr uint32_t kMaxTraceSteps = 64;
+
 } // namespace
 
 std::optional<CompiledTrace> djx::compileTrace(const BytecodeMethod &M,
-                                               uint32_t EntryPc,
-                                               const TierConfig &Cfg,
-                                               const MethodAnalysis *MA) {
+                                               uint32_t EntryPc) {
   const std::vector<Instruction> &Code = M.Code;
   const uint32_t N = static_cast<uint32_t>(Code.size());
   CompiledTrace T;
@@ -114,33 +168,11 @@ std::optional<CompiledTrace> djx::compileTrace(const BytecodeMethod &M,
     Steps += Len;
   };
 
-  while (!Ended && Pc < N && Steps < Cfg.MaxTraceLength) {
+  while (!Ended && Pc < N && Steps < kMaxTraceSteps) {
     const Instruction &I = Code[Pc];
-    const uint32_t Left = Cfg.MaxTraceLength - Steps;
-
-    // Analysis-proven superblock extension: an instrumented allocation
-    // (allochook_pre; alloc; allochook_post) whose site the escape
-    // analysis proves never leaves this method keeps the trace going
-    // instead of ending it. The hook superops dispatch the agent
-    // callbacks with full frame sync, so the profile is byte-identical
-    // to flat dispatch; escape is the admission predicate (an escaping
-    // object may be relocated or observed concurrently mid-trace, so
-    // those sites stay in the flat loop).
-    if (I.Op == Opcode::AllocHookPre && MA && Left >= 3 && Pc + 2 < N &&
-        isAllocation(Code[Pc + 1].Op) &&
-        Code[Pc + 2].Op == Opcode::AllocHookPost && !MA->Types.Incomplete &&
-        MA->Types.reachable(Pc + 1)) {
-      const AllocSiteFact *Site = MA->Types.siteAtPc(Pc + 1);
-      if (Site && !Site->escapes()) {
-        emit(SuperOp::HookPre, Opcode::AllocHookPre, 1, I.A);
-        const Instruction &AI = Code[Pc]; // emit() advanced to the alloc.
-        emit(SuperOp::Alloc, AI.Op, 1, AI.A,
-             AI.Op == Opcode::MultiANewArray ? AI.B : 0);
-        emit(SuperOp::HookPost, Opcode::AllocHookPost, 1, Code[Pc].A);
-        continue;
-      }
-    }
-    if (endsTrace(I.Op))
+    const uint32_t Left = kMaxTraceSteps - Steps;
+    const std::optional<SuperOp> Kind = baseKind(I.Op);
+    if (!Kind)
       break;
 
     // Fused idioms first, longest match wins; a pattern that does not fit
@@ -177,26 +209,6 @@ std::optional<CompiledTrace> djx::compileTrace(const BytecodeMethod &M,
            Code[Pc + 2].A);
       continue;
     }
-    // Local-vs-immediate compare: admitted only under the analysis
-    // proof that the side exit elides no observable stack traffic —
-    // the type-state depth at the taken target equals the depth
-    // entering the pattern, and liveness shows nothing live above the
-    // materialised depth there. (Holds for every well-formed loop
-    // guard; the proof is what lets the fused form skip the two pushes
-    // without a flat-state mismatch at the deopt point.)
-    if (I.Op == Opcode::ILoad && MA && Left >= 3 && Pc + 2 < N &&
-        Code[Pc + 1].Op == Opcode::IConst && isICmpBranch(Code[Pc + 2].Op)) {
-      uint32_t Target = static_cast<uint32_t>(Code[Pc + 2].A);
-      int D0 = MA->Types.depthAt(Pc);
-      if (D0 >= 0 && MA->Types.depthAt(Target) == D0 &&
-          MA->Live.knownAt(Target) &&
-          MA->Live.liveStackSlotsAbove(Target,
-                                       static_cast<uint32_t>(D0)) == 0) {
-        emit(SuperOp::CmpBranchLI, Code[Pc + 2].Op, 3, I.A, Code[Pc + 1].A,
-             Target);
-        continue;
-      }
-    }
     if (I.Op == Opcode::ILoad && Left >= 3 && Pc + 2 < N &&
         Code[Pc + 1].Op == Opcode::IAdd &&
         Code[Pc + 2].Op == Opcode::IStore && Code[Pc + 2].A == I.A) {
@@ -204,96 +216,8 @@ std::optional<CompiledTrace> djx::compileTrace(const BytecodeMethod &M,
       continue;
     }
 
-    switch (I.Op) {
-    case Opcode::Nop:
-      emit(SuperOp::Nop, I.Op, 1);
-      break;
-    case Opcode::IConst:
-      emit(SuperOp::IConst, I.Op, 1, I.A);
-      break;
-    case Opcode::ILoad:
-      emit(SuperOp::ILoad, I.Op, 1, I.A);
-      break;
-    case Opcode::ALoad:
-      emit(SuperOp::ALoad, I.Op, 1, I.A);
-      break;
-    case Opcode::IStore:
-      emit(SuperOp::IStore, I.Op, 1, I.A);
-      break;
-    case Opcode::AStore:
-      emit(SuperOp::AStore, I.Op, 1, I.A);
-      break;
-    case Opcode::Pop:
-      emit(SuperOp::PopV, I.Op, 1);
-      break;
-    case Opcode::Dup:
-      emit(SuperOp::DupV, I.Op, 1);
-      break;
-    case Opcode::Swap:
-      emit(SuperOp::SwapV, I.Op, 1);
-      break;
-    case Opcode::IAdd:
-    case Opcode::ISub:
-    case Opcode::IMul:
-    case Opcode::IDiv:
-    case Opcode::IRem:
-    case Opcode::IAnd:
-    case Opcode::IOr:
-    case Opcode::IXor:
-    case Opcode::IShl:
-    case Opcode::IShr:
-      emit(SuperOp::Alu, I.Op, 1);
-      break;
-    case Opcode::INeg:
-      emit(SuperOp::INeg, I.Op, 1);
-      break;
-    case Opcode::Goto:
-      emit(SuperOp::GotoExit, I.Op, 1, I.A);
-      Ended = true;
-      break;
-    case Opcode::IfEq:
-    case Opcode::IfNe:
-    case Opcode::IfLt:
-    case Opcode::IfGe:
-    case Opcode::IfICmpEq:
-    case Opcode::IfICmpNe:
-    case Opcode::IfICmpLt:
-    case Opcode::IfICmpGe:
-    case Opcode::IfICmpGt:
-    case Opcode::IfICmpLe:
-    case Opcode::IfNull:
-    case Opcode::IfNonNull:
-      emit(SuperOp::Br, I.Op, 1, I.A);
-      break;
-    case Opcode::New:
-    case Opcode::NewArray:
-    case Opcode::ANewArray:
-      emit(SuperOp::Alloc, I.Op, 1, I.A);
-      break;
-    case Opcode::MultiANewArray:
-      emit(SuperOp::Alloc, I.Op, 1, I.A, I.B);
-      break;
-    case Opcode::PALoad:
-    case Opcode::PAStore:
-    case Opcode::AALoad:
-    case Opcode::AAStore:
-    case Opcode::ArrayLength:
-    case Opcode::GetField:
-    case Opcode::PutField:
-    case Opcode::GetRefField:
-    case Opcode::PutRefField:
-      emit(SuperOp::Access, I.Op, 1, I.A, I.B);
-      break;
-    case Opcode::Invoke:
-    case Opcode::Return:
-    case Opcode::IReturn:
-    case Opcode::AReturn:
-    case Opcode::AllocHookPre:
-    case Opcode::AllocHookPost:
-      assert(false && "endsTrace() filtered these");
-      Ended = true;
-      break;
-    }
+    emit(*Kind, I.Op, 1, I.A, I.B);
+    Ended = *Kind == SuperOp::GotoExit;
   }
 
   if (Steps < kMinTraceSteps)

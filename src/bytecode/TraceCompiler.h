@@ -45,19 +45,12 @@ enum class ExecTier : uint8_t {
   Super,  ///< Hot-region detection + superinstruction traces.
 };
 
-/// Tier selection plus the tuning knobs the CLI exposes.
+/// Tier selection plus the tuning knob the CLI exposes.
 struct TierConfig {
   ExecTier Tier = ExecTier::Interp;
   /// Flat dispatches of a trace-head pc before it compiles
   /// (`--hot-threshold`). Counted per interpreter, per (method, pc).
   uint32_t HotThreshold = 16;
-  /// Cap on constituent instructions per trace (`--max-trace-len`).
-  uint32_t MaxTraceLength = 64;
-  /// Consult the src/analysis/ passes for analysis-proven fusions:
-  /// side-exit fusions gated on liveness/depth proofs and superblocks
-  /// spanning non-escaping allocation sites (`--no-analysis-fusion`
-  /// reverts to the purely syntactic compiler).
-  bool AnalysisFusion = true;
 };
 
 /// "interp" / "super".
@@ -66,45 +59,31 @@ const char *execTierName(ExecTier Tier);
 /// Parses an ExecTier name; returns false (Out untouched) when unknown.
 bool parseExecTier(const std::string &Name, ExecTier &Out);
 
-/// Superinstruction kinds. The base kinds mirror single opcodes (minus
-/// dispatch overhead); the fused kinds collapse the multi-opcode idioms
-/// the workload catalog's hot loops are built from.
+/// Superinstruction kinds: one per shared opcode handler the executing
+/// tier calls, plus the fused idioms the workload catalog's hot loops are
+/// built from. Src selects the opcode within a base kind.
 enum class SuperOp : uint8_t {
   Nop,
-  IConst,     ///< A = immediate.
-  ILoad,      ///< A = local slot.
-  ALoad,      ///< A = local slot.
-  IStore,     ///< A = local slot.
-  AStore,     ///< A = local slot.
-  PopV,
-  DupV,
-  SwapV,
-  Alu,        ///< Src selects IAdd..IShr.
-  INeg,
+  Move,       ///< iconst/iload/aload/istore/astore/pop/dup/swap;
+              ///< A = immediate or local slot.
+  Alu,        ///< IAdd..IShr and INeg.
   Br,         ///< Side exit. Src selects the If*; A = taken target.
   GotoExit,   ///< Unconditional exit; A = target.
-  Access,     ///< Simulated memory access; Src selects the opcode,
-              ///< A/B carry its immediates (field offset/width).
-  Alloc,      ///< Allocation; Src selects the opcode, A = TypeId,
-              ///< B = MultiANewArray dim count.
+  Access,     ///< Simulated memory access; A/B carry the opcode's
+              ///< immediates (field offset/width).
+  Alloc,      ///< Allocation; A = TypeId, B = MultiANewArray dim count.
   // --- Fused idioms -----------------------------------------------------
   CmpBranchLL, ///< iload A; iload B; if_icmp<Src> C  (side exit).
   IncLocal,    ///< iload A; iconst; iadd/isub; istore A  => L[A] += B.
   AccumLocal,  ///< iload A; iadd; istore A  => L[A] += pop().
   PALoadLL,    ///< aload A; iload B; paload  (one simulated access).
   PAStoreLLL,  ///< aload A; iload B; iload C; pastore  (one access).
-  // --- Analysis-proven forms (emitted only with a MethodAnalysis) -------
-  CmpBranchLI, ///< iload A; iconst B; if_icmp<Src> C  (side exit);
-               ///< admitted via the liveness/depth proof at C.
-  HookPre,     ///< allochook_pre, A = site id; dispatches the agent
-               ///< hook with full frame sync, exactly as flat dispatch.
-  HookPost,    ///< allochook_post, A = site id (peeks the fresh ref).
 };
 
 /// One compiled superinstruction.
 struct TraceOp {
   SuperOp Kind = SuperOp::Nop;
-  /// Source opcode (selector for Alu/Br/Access/Alloc/CmpBranchLL;
+  /// Source opcode (selector for the base kinds and CmpBranchLL;
   /// informational for the rest).
   Opcode Src = Opcode::Nop;
   /// Constituent flat instructions this op retires — its step and
@@ -135,24 +114,12 @@ struct CompiledTrace {
   std::vector<TraceOp> Ops;
 };
 
-struct MethodAnalysis;
-
-/// Compiles the superblock starting at \p EntryPc in \p M. Returns
-/// nullopt when the region is too short to pay for trace entry (the
-/// site is dead — e.g. the pc sits right before an Invoke).
-///
-/// \p MA, when given, unlocks the analysis-proven forms: superblocks
-/// extend across allocation sites the escape analysis proves
-/// non-escaping (HookPre/Alloc/HookPost instead of ending the trace),
-/// and CmpBranchLI side exits are admitted where the type-state depth
-/// at the target matches the pattern entry and liveness shows no live
-/// stack slot above the materialised depth. Null \p MA (or a proof
-/// that does not hold) falls back to the base encodings, so traces
-/// stay observationally identical to flat dispatch either way.
+/// Compiles the superblock starting at \p EntryPc in \p M, up to 64
+/// constituent instructions. Returns nullopt when the region is too
+/// short to pay for trace entry (the site is dead — e.g. the pc sits
+/// right before an Invoke).
 std::optional<CompiledTrace> compileTrace(const BytecodeMethod &M,
-                                          uint32_t EntryPc,
-                                          const TierConfig &Cfg,
-                                          const MethodAnalysis *MA = nullptr);
+                                          uint32_t EntryPc);
 
 } // namespace djx
 

@@ -31,7 +31,7 @@ void Interpreter::setTier(const TierConfig &Cfg) {
          "the tier must be selected before any instruction executes");
   Traces.reset();
   if (Cfg.Tier == ExecTier::Super)
-    Traces = std::make_unique<TraceCache>(Cfg, &Program);
+    Traces = std::make_unique<TraceCache>(Cfg);
 }
 
 void Interpreter::collectRoots(std::vector<ObjectRef *> &Slots) {
@@ -740,9 +740,9 @@ void Interpreter::execTrace(const CompiledTrace &T, uint64_t QuantumEnd) {
     F->Sp = Sp;
     ArenaTop = F->StackBase + Sp;
   };
-  // Before a VM call that observes Steps/cycles/Bci and may re-enter
-  // run() (allocation observers, agent hooks): flush and fully sync, as
-  // flat dispatch would be at that instruction.
+  // Before an allocation, which observes Steps/cycles/Bci and whose
+  // observers may re-enter run(): flush and fully sync, as flat dispatch
+  // would be at that instruction.
   auto SyncFor = [&](const TraceOp &O) {
     Exit(O.Pc);
     Thread.setBci(O.Pc);
@@ -768,18 +768,10 @@ void Interpreter::execTrace(const CompiledTrace &T, uint64_t QuantumEnd) {
     switch (O.Kind) {
     case SuperOp::Nop:
       break;
-    case SuperOp::IConst:
-    case SuperOp::ILoad:
-    case SuperOp::ALoad:
-    case SuperOp::IStore:
-    case SuperOp::AStore:
-    case SuperOp::PopV:
-    case SuperOp::DupV:
-    case SuperOp::SwapV:
+    case SuperOp::Move:
       moveOp(O.Src, O.A, L, S, Sp);
       break;
     case SuperOp::Alu:
-    case SuperOp::INeg:
       if (!alu(O.Src, S, Sp)) {
         Exit(O.Pc);
         fatalZeroDivisor(O.Pc);
@@ -795,10 +787,7 @@ void Interpreter::execTrace(const CompiledTrace &T, uint64_t QuantumEnd) {
       }
       break;
     case SuperOp::CmpBranchLL:
-    case SuperOp::CmpBranchLI:
-      if (icmpTaken(O.Src, intLocal(L, O.A),
-                    O.Kind == SuperOp::CmpBranchLL ? intLocal(L, O.B)
-                                                   : O.B)) {
+      if (icmpTaken(O.Src, intLocal(L, O.A), intLocal(L, O.B))) {
         Exit(static_cast<uint32_t>(O.C));
         return;
       }
@@ -836,13 +825,6 @@ void Interpreter::execTrace(const CompiledTrace &T, uint64_t QuantumEnd) {
       // safepoint GC.
       SyncFor(O);
       allocate(O.Src, O.A, O.B);
-      if (ResumeAfter(O))
-        return;
-      break;
-    case SuperOp::HookPre:
-    case SuperOp::HookPost:
-      SyncFor(O);
-      dispatchHook(O.Src, static_cast<uint64_t>(O.A));
       if (ResumeAfter(O))
         return;
       break;

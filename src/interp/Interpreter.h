@@ -206,9 +206,10 @@ private:
   /// for exactly the constituents retired.
   void execTrace(const CompiledTrace &T, uint64_t QuantumEnd);
 
-  // Opcode handlers that need interpreter state; both tiers call them
-  // with the top frame synced and re-derive cached pointers after, since
-  // the VM call or hook may re-enter run() and grow the arena.
+  // Opcode handlers that need interpreter state (only allocate runs in
+  // traces too; hooks end trace formation). Callers sync the top frame
+  // and re-derive cached pointers after, since the VM call or hook may
+  // re-enter run() and grow the arena.
 
   /// new/newarray/anewarray/multianewarray (A = type, B = dims).
   void allocate(Opcode Op, int64_t A, int64_t B);

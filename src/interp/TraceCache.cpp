@@ -6,30 +6,12 @@
 
 #include "interp/TraceCache.h"
 
-#include "analysis/MethodAnalysis.h"
 #include "bytecode/ClassFile.h"
 #include "bytecode/Disassembler.h"
 
 #include <cassert>
 
 using namespace djx;
-
-const MethodAnalysis *TraceCache::analysisFor(const BytecodeMethod &M) {
-  auto It = Analyses.find(&M);
-  if (It != Analyses.end())
-    return It->second.get();
-  CalleeResolver Resolve = nullptr;
-  if (Program && Program->isLoaded())
-    Resolve = [P = Program](const Instruction &I) -> const BytecodeMethod * {
-      size_t Idx = static_cast<size_t>(I.A);
-      return Idx < P->numMethods() ? &P->method(Idx) : nullptr;
-    };
-  auto A =
-      std::make_unique<MethodAnalysis>(MethodAnalysis::analyze(M, Resolve));
-  const MethodAnalysis *Out = A.get();
-  Analyses.emplace(&M, std::move(A));
-  return Out;
-}
 
 const CompiledTrace *TraceCache::bump(Site &S, const BytecodeMethod &M,
                                       uint32_t Pc) {
@@ -39,8 +21,7 @@ const CompiledTrace *TraceCache::bump(Site &S, const BytecodeMethod &M,
   // Saturate so an invalidated site re-crosses the threshold on its very
   // next visit instead of warming up from zero again.
   S.Count = Cfg.HotThreshold;
-  const MethodAnalysis *MA = Cfg.AnalysisFusion ? analysisFor(M) : nullptr;
-  if (std::optional<CompiledTrace> T = compileTrace(M, Pc, Cfg, MA)) {
+  if (std::optional<CompiledTrace> T = compileTrace(M, Pc)) {
     S.Trace = std::make_unique<CompiledTrace>(std::move(*T));
     S.St = Site::Compiled;
     ++St.Compiles;

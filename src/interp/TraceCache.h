@@ -18,12 +18,10 @@
 #ifndef DJX_INTERP_TRACECACHE_H
 #define DJX_INTERP_TRACECACHE_H
 
-#include "analysis/MethodAnalysis.h"
 #include "bytecode/TraceCompiler.h"
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace djx {
@@ -49,12 +47,7 @@ public:
     std::unique_ptr<CompiledTrace> Trace;
   };
 
-  /// \p P (the linked program) resolves Invoke callees for the
-  /// analysis passes when Cfg.AnalysisFusion is on; null still
-  /// compiles, with the analyses running calleeless (Incomplete).
-  explicit TraceCache(const TierConfig &Cfg,
-                      const BytecodeProgram *P = nullptr)
-      : Cfg(Cfg), Program(P) {}
+  explicit TraceCache(const TierConfig &Cfg) : Cfg(Cfg) {}
 
   /// The site array for \p MethodIndex, created on first touch with
   /// \p CodeSize entries. The returned pointer stays valid across later
@@ -90,16 +83,8 @@ public:
   std::string renderAll(const BytecodeProgram &P) const;
 
 private:
-  /// The cached analysis bundle for \p M, built on first demand. Keyed
-  /// by method identity: method bodies are immutable once execution
-  /// starts (instrumentation rewrites happen before the first step).
-  const MethodAnalysis *analysisFor(const BytecodeMethod &M);
-
   TierConfig Cfg;
-  const BytecodeProgram *Program = nullptr;
   std::vector<std::vector<Site>> Methods;
-  std::unordered_map<const BytecodeMethod *, std::unique_ptr<MethodAnalysis>>
-      Analyses;
   TraceCacheStats St;
 };
 

@@ -284,7 +284,7 @@ JournalRecovery djx::readJournal(const std::string &Path) {
     if (P.readFrom(IS))
       R.Profiles.push_back(std::move(P));
     else
-      ++R.SnapshotsDropped;
+      ++R.SnapshotsUnparseable;
   }
   return R;
 }
@@ -324,7 +324,7 @@ JournalFold djx::foldJournals(const std::vector<std::string> &Paths) {
     uint64_t MaxTid = TidOffset;
     for (ThreadProfile &P : R.Profiles) {
       if (!allocNodesInTrees(P, TreeSizes) || !P.remapIds(TidOffset, Map)) {
-        ++R.SnapshotsDropped;
+        ++R.SnapshotsUnresolved;
         continue;
       }
       MaxTid = std::max(MaxTid, P.threadId());
@@ -336,4 +336,78 @@ JournalFold djx::foldJournals(const std::vector<std::string> &Paths) {
     F.Inputs.push_back(std::move(R));
   }
   return F;
+}
+
+namespace {
+
+/// ", <n> unparseable snapshot(s), <m> snapshot(s) with unresolved ids"
+/// for the snapshots \p R dropped; empty when none.
+std::string droppedSnapshotNotes(const JournalRecovery &R) {
+  std::string Out;
+  if (R.SnapshotsUnparseable != 0)
+    Out += ", " + std::to_string(R.SnapshotsUnparseable) +
+           " unparseable snapshot(s)";
+  if (R.SnapshotsUnresolved != 0)
+    Out += ", " + std::to_string(R.SnapshotsUnresolved) +
+           " snapshot(s) with unresolved method/CCT ids";
+  return Out;
+}
+
+} // namespace
+
+std::string djx::journalTruncationBanner(const std::string &Path,
+                                         const JournalRecovery &R) {
+  const bool Torn =
+      !R.Closed || R.SegmentsUncommitted != 0 || R.TrailingBytes != 0;
+  std::ostringstream OS;
+  OS << "=== DJXPerf DEGRADED report: "
+     << (Torn ? "journal truncated, salvaged prefix only"
+              : "journal snapshot(s) dropped")
+     << " ===\n";
+  OS << "journal:  " << Path << '\n';
+  OS << "kept:     " << R.SegmentsCommitted << " committed segment(s), "
+     << R.BytesKept << " bytes, last durable epoch " << R.LastEpoch
+     << " (round " << R.LastRound << ")\n";
+  OS << "dropped:  " << R.SegmentsUncommitted
+     << " uncommitted segment(s), " << R.TrailingBytes
+     << " trailing byte(s)" << droppedSnapshotNotes(R);
+  OS << "\nreason:   ";
+  if (!R.TruncationReason.empty())
+    OS << R.TruncationReason;
+  else if (!R.Closed)
+    OS << "journal ends without a Close sentinel (crash or kill before the "
+          "run finished)";
+  else if (R.SnapshotsUnparseable == 0 && R.SnapshotsUnresolved == 0)
+    OS << "valid segment(s) after the Close sentinel";
+  else {
+    const char *Sep = "";
+    if (R.SnapshotsUnparseable != 0) {
+      OS << "committed snapshot(s) failed to parse";
+      Sep = "; ";
+    }
+    if (R.SnapshotsUnresolved != 0)
+      OS << Sep
+         << "committed snapshot(s) name a method or CCT node the journal "
+            "does not define";
+  }
+  OS << '\n';
+  OS << (Torn ? "The profile below reflects the last durable epoch only; "
+                "everything after it was lost.\n\n"
+              : "The profile below lacks the threads of the dropped "
+                "snapshot(s).\n\n");
+  return OS.str();
+}
+
+std::string djx::journalAccountingLine(const std::string &Path,
+                                       const JournalRecovery &R) {
+  std::ostringstream OS;
+  OS << "djxperf: " << Path << ": kept " << R.SegmentsCommitted
+     << " committed segment(s) (" << R.BytesKept << " bytes) through epoch "
+     << R.LastEpoch << " (round " << R.LastRound << "); dropped "
+     << R.SegmentsUncommitted << " uncommitted segment(s), "
+     << R.TrailingBytes << " trailing byte(s)" << droppedSnapshotNotes(R);
+  if (!R.TruncationReason.empty())
+    OS << "; stopped at: " << R.TruncationReason;
+  OS << '\n';
+  return OS.str();
 }

@@ -55,10 +55,13 @@ struct JournalRecovery {
   /// Committed profiles (last snapshot per thread), in thread-id order.
   std::vector<ThreadProfile> Profiles;
   /// Committed, CRC-valid snapshots that failed to parse (a writer bug
-  /// or a checksum collision), plus, after foldJournals, profiles it
-  /// could not re-key or whose allocation nodes lie outside the
-  /// allocating thread's CCT: each loses one thread's profile.
-  uint64_t SnapshotsDropped = 0;
+  /// or a checksum collision): each loses one thread's profile.
+  uint64_t SnapshotsUnparseable = 0;
+  /// Parsed snapshots foldJournals dropped: a method id the journal
+  /// never registered, a remap that would fold two sibling CCT nodes
+  /// into one, or an allocation node past the allocating thread's CCT.
+  /// Each loses one thread's profile.
+  uint64_t SnapshotsUnresolved = 0;
 
   /// Structurally valid segments, in file order (committed or not).
   std::vector<JournalSegmentInfo> Segments;
@@ -90,7 +93,7 @@ struct JournalRecovery {
   /// clean Close, or data was dropped getting here.
   bool degraded() const {
     return !Closed || SegmentsUncommitted != 0 || TrailingBytes != 0 ||
-           SnapshotsDropped != 0;
+           SnapshotsUnparseable != 0 || SnapshotsUnresolved != 0;
   }
 };
 
@@ -110,7 +113,7 @@ struct JournalFold {
   /// and line table all match, so same-named methods of different
   /// programs keep their own lines. A profile naming a method id its
   /// journal never registered, or an allocation node past the allocating
-  /// thread's CCT, is dropped and counted in SnapshotsDropped.
+  /// thread's CCT, is dropped and counted in SnapshotsUnresolved.
   MethodRegistry Methods;
   /// Every input's profiles in input order, thread ids offset past the
   /// previous inputs' (id 0, unknown provenance, is kept) and method ids
@@ -124,6 +127,18 @@ struct JournalFold {
 /// Reads every journal in \p Paths and folds them: the whole of
 /// `djxperf merge`, and of `recover` for one path. Never throws.
 JournalFold foldJournals(const std::vector<std::string> &Paths);
+
+/// `recover`'s banner for a journal whose tail was lost (no clean
+/// Close, or valid segments dropped as uncommitted) or that lost threads
+/// to dropped snapshots: states exactly what was kept and what was
+/// dropped, and why, like renderDegradedBanner does for failed runs.
+std::string journalTruncationBanner(const std::string &Path,
+                                    const JournalRecovery &R);
+
+/// The per-file stderr accounting line of `recover` and `merge`
+/// (newline-terminated).
+std::string journalAccountingLine(const std::string &Path,
+                                  const JournalRecovery &R);
 
 } // namespace djx
 

@@ -10,21 +10,16 @@
 /// worklist solver in both directions, type-state inference and its
 /// definite-misuse diagnostics (the Verifier's upgraded second pass —
 /// at least eight negative programs, plus a zero-false-positive sweep
-/// over the workload catalog), allocation-site escape analysis, backward
-/// liveness, the analysis-proven trace fusions (CmpBranchLI and
-/// hook-spanning superblocks) with an interp-vs-super execution parity
-/// check, and the static allocation-site report.
+/// over the workload catalog), allocation-site escape analysis, and the
+/// static allocation-site report.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Cfg.h"
 #include "analysis/Dataflow.h"
-#include "analysis/Liveness.h"
-#include "analysis/MethodAnalysis.h"
 #include "analysis/StaticReport.h"
 #include "analysis/TypeState.h"
 #include "bytecode/MethodBuilder.h"
-#include "bytecode/TraceCompiler.h"
 #include "bytecode/Verifier.h"
 #include "core/DjxPerf.h"
 #include "instrument/AllocationInstrumenter.h"
@@ -36,7 +31,6 @@
 
 #include <algorithm>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "harness/TestModule.h"
@@ -49,9 +43,6 @@ DJX_TEST_MODULE(analysis_test, 84.0, 50.0,
     "src/analysis/Cfg.cpp",
     "src/analysis/Cfg.h",
     "src/analysis/Dataflow.h",
-    "src/analysis/Liveness.cpp",
-    "src/analysis/Liveness.h",
-    "src/analysis/MethodAnalysis.h",
     "src/analysis/StaticReport.cpp",
     "src/analysis/StaticReport.h",
     "src/analysis/TypeState.cpp",
@@ -546,73 +537,7 @@ TEST(VerifierTypeState, ZeroFalsePositivesAcrossWorkloadCatalog) {
   }
 }
 
-// --- Liveness ------------------------------------------------------------
-
-TEST(Liveness, OverwrittenLocalIsDeadUntilTheStore) {
-  // 0: iconst 1  1: istore 0  2: iconst 2  3: istore 0  4: iload 0  5: iret
-  MethodBuilder B("C", "m", 0, 1);
-  B.iconst(1).istore(0).iconst(2).istore(0).iload(0).iret();
-  BytecodeMethod M = B.build();
-  Cfg G = Cfg::build(M);
-  TypeStateResult TS = inferTypeStates(M, G);
-  LivenessResult L = computeLiveness(M, G, TS);
-  ASSERT_TRUE(L.knownAt(2));
-  // Entering pc 2 the first store's value is dead (rewritten at pc 3
-  // before any load); entering pc 4 the second store's value is live.
-  EXPECT_FALSE(L.localLiveAt(2, 0));
-  EXPECT_TRUE(L.localLiveAt(4, 0));
-}
-
-TEST(Liveness, StackSlotFeedingOnlyPopIsDead) {
-  // 0: iconst 7  1: pop  2: iconst 1  3: iret
-  MethodBuilder B("C", "m", 0, 0);
-  B.iconst(7).pop().iconst(1).iret();
-  BytecodeMethod M = B.build();
-  Cfg G = Cfg::build(M);
-  TypeStateResult TS = inferTypeStates(M, G);
-  LivenessResult L = computeLiveness(M, G, TS);
-  ASSERT_TRUE(L.knownAt(1));
-  EXPECT_FALSE(L.stackLiveAt(1, 0)); // The 7 only feeds the pop.
-  ASSERT_TRUE(L.knownAt(3));
-  EXPECT_TRUE(L.stackLiveAt(3, 0)); // The 1 feeds the return.
-  EXPECT_EQ(L.liveStackSlotsAbove(1, 0), 0u);
-  EXPECT_EQ(L.liveStackSlotsAbove(3, 0), 1u);
-}
-
-TEST(Liveness, LoopCarriedLocalsStayLive) {
-  JavaVm Vm;
-  BytecodeMethod M = sweepMethod(Vm.types(), 8);
-  Cfg G = Cfg::build(M);
-  TypeStateResult TS = inferTypeStates(M, G);
-  LivenessResult L = computeLiveness(M, G, TS);
-  ASSERT_TRUE(L.knownAt(kSweepHead));
-  // n, a and i are all read again around the loop.
-  EXPECT_TRUE(L.localLiveAt(kSweepHead, 0));
-  EXPECT_TRUE(L.localLiveAt(kSweepHead, 1));
-  EXPECT_TRUE(L.localLiveAt(kSweepHead, 2));
-  // The loop never holds operands across the head.
-  EXPECT_EQ(L.liveStackSlotsAbove(kSweepHead, 0), 0u);
-}
-
-TEST(MethodAnalysis, BundlesAllThreeViews) {
-  JavaVm Vm;
-  BytecodeMethod M = sweepMethod(Vm.types(), 8);
-  MethodAnalysis A = MethodAnalysis::analyze(M);
-  EXPECT_FALSE(A.G.blocks().empty());
-  EXPECT_EQ(A.Types.AtPc.size(), M.Code.size());
-  EXPECT_FALSE(A.Types.Incomplete);
-  EXPECT_TRUE(A.Live.knownAt(0));
-  EXPECT_EQ(A.Types.depthAt(kSweepHead), 0);
-}
-
-// --- Analysis-proven trace fusions ---------------------------------------
-
-TierConfig superTier(uint32_t HotThreshold = 2) {
-  TierConfig Cfg;
-  Cfg.Tier = ExecTier::Super;
-  Cfg.HotThreshold = HotThreshold;
-  return Cfg;
-}
+// --- Static allocation-site report ---------------------------------------
 
 /// Hot loop with an immediate-compare head and a *non-escaping*
 /// instrumentable allocation in the body:
@@ -637,170 +562,6 @@ BytecodeProgram hookLoopProgram(TypeRegistry &Types, int64_t Iters) {
   P.addClass(std::move(C));
   return P;
 }
-
-std::vector<SuperOp> opKinds(const CompiledTrace &T) {
-  std::vector<SuperOp> Kinds;
-  for (const TraceOp &O : T.Ops)
-    Kinds.push_back(O.Kind);
-  return Kinds;
-}
-
-bool hasOp(const CompiledTrace &T, SuperOp K) {
-  std::vector<SuperOp> Kinds = opKinds(T);
-  return std::find(Kinds.begin(), Kinds.end(), K) != Kinds.end();
-}
-
-TEST(TraceAnalysis, CmpBranchLIRequiresTheLivenessProof) {
-  JavaVm Vm;
-  BytecodeProgram P = hookLoopProgram(Vm.types(), 100);
-  const BytecodeMethod &M = P.classes()[0].Methods[0];
-  MethodAnalysis A = MethodAnalysis::analyze(M);
-  // Loop head pc: iconst + istore prologue.
-  constexpr uint32_t Head = 2;
-  auto Proven = compileTrace(M, Head, superTier(), &A);
-  ASSERT_TRUE(Proven.has_value());
-  EXPECT_TRUE(hasOp(*Proven, SuperOp::CmpBranchLI));
-  EXPECT_EQ(Proven->Ops.front().Kind, SuperOp::CmpBranchLI);
-  EXPECT_EQ(Proven->Ops.front().NumSteps, 3u); // Retires all 3 opcodes.
-  // Without the analysis the same region compiles to base encodings
-  // only — the fused form is never emitted on syntax alone.
-  auto Base = compileTrace(M, Head, superTier(), nullptr);
-  ASSERT_TRUE(Base.has_value());
-  EXPECT_FALSE(hasOp(*Base, SuperOp::CmpBranchLI));
-  EXPECT_EQ(Base->Ops.front().Kind, SuperOp::ILoad);
-}
-
-TEST(TraceAnalysis, SuperblockSpansNonEscapingAllocationSite) {
-  JavaVm Vm;
-  BytecodeProgram P = hookLoopProgram(Vm.types(), 100);
-  P.load(Vm);
-  AllocationSiteTable Sites;
-  ASSERT_EQ(instrumentProgram(P, Sites), 1u);
-  const BytecodeMethod &M = P.method(0);
-  MethodAnalysis A = MethodAnalysis::analyze(M);
-  constexpr uint32_t Head = 2;
-  auto Proven = compileTrace(M, Head, superTier(), &A);
-  ASSERT_TRUE(Proven.has_value());
-  // The trace runs through the hook triple instead of ending at it...
-  EXPECT_TRUE(hasOp(*Proven, SuperOp::HookPre));
-  EXPECT_TRUE(hasOp(*Proven, SuperOp::HookPost));
-  std::vector<SuperOp> Kinds = opKinds(*Proven);
-  auto Pre = std::find(Kinds.begin(), Kinds.end(), SuperOp::HookPre);
-  ASSERT_NE(Pre, Kinds.end());
-  EXPECT_EQ(*(Pre + 1), SuperOp::Alloc);
-  EXPECT_EQ(*(Pre + 2), SuperOp::HookPost);
-  // ...and keeps going: the astore and the array store after the
-  // allocation are in-trace.
-  EXPECT_TRUE(hasOp(*Proven, SuperOp::AStore));
-  EXPECT_TRUE(hasOp(*Proven, SuperOp::Access));
-  // Without analysis facts the hook still ends the trace.
-  auto Base = compileTrace(M, Head, superTier(), nullptr);
-  ASSERT_TRUE(Base.has_value());
-  EXPECT_FALSE(hasOp(*Base, SuperOp::HookPre));
-}
-
-TEST(TraceAnalysis, EscapingSiteStillEndsTheTrace) {
-  JavaVm Vm;
-  // Same loop shape, but the allocation escapes through aastore into a
-  // caller-visible array — the proof fails and the hook stays a trace
-  // terminator.
-  TypeId IntArr = Vm.types().intArray();
-  TypeId ArrArr = Vm.types().refArrayType("int[]");
-  MethodBuilder B("H", "main", 0, 2);
-  B.iconst(8).aNewArray(ArrArr).astore(1);
-  Label Head = B.newLabel(), End = B.newLabel();
-  B.bind(Head);
-  B.iload(0).iconst(100).ifICmp(Opcode::IfICmpGe, End);
-  B.aload(1).iconst(0).iconst(16).newArray(IntArr).aaStore();
-  B.iload(0).iconst(1).iadd().istore(0);
-  B.jmp(Head);
-  B.bind(End);
-  B.iload(0).iret();
-  ClassFile C;
-  C.Name = "H";
-  C.Methods.push_back(B.build());
-  BytecodeProgram P;
-  P.addClass(std::move(C));
-  P.load(Vm);
-  AllocationSiteTable Sites;
-  ASSERT_EQ(instrumentProgram(P, Sites), 2u);
-  const BytecodeMethod &M = P.method(0);
-  // Instrumentation shifted every pc; re-locate the loop head as the
-  // iload two instructions before the loop's compare branch.
-  uint32_t HeadPc = 0;
-  for (uint32_t Pc = 0; Pc < M.Code.size(); ++Pc)
-    if (M.Code[Pc].Op == Opcode::IfICmpGe) {
-      HeadPc = Pc - 2;
-      break;
-    }
-  ASSERT_EQ(M.Code[HeadPc].Op, Opcode::ILoad);
-  MethodAnalysis A = MethodAnalysis::analyze(M);
-  auto T = compileTrace(M, HeadPc, superTier(), &A);
-  ASSERT_TRUE(T.has_value());
-  EXPECT_FALSE(hasOp(*T, SuperOp::HookPre));
-  EXPECT_FALSE(hasOp(*T, SuperOp::Alloc));
-}
-
-TEST(TraceAnalysis, HookSpanningExecutionParity) {
-  // The fusion contract end to end: an instrumented hot loop whose
-  // allocation site is proven non-escaping must produce the identical
-  // hook event stream, return value and step count in the interp tier,
-  // the super tier with analysis fusion, and the super tier without it.
-  struct HookEvent {
-    uint64_t Site;
-    bool Post;
-    ObjectRef Obj;
-    bool operator==(const HookEvent &O) const {
-      return Site == O.Site && Post == O.Post && Obj == O.Obj;
-    }
-  };
-  auto Run = [&](bool Super, bool Fusion, std::string *Traces) {
-    JavaVm Vm;
-    BytecodeProgram P = hookLoopProgram(Vm.types(), 300);
-    P.load(Vm);
-    AllocationSiteTable Sites;
-    instrumentProgram(P, Sites);
-    JavaThread &Th = Vm.startThread("parity", 0);
-    Interpreter I(Vm, P, Th);
-    if (Super) {
-      TierConfig Cfg = superTier();
-      Cfg.AnalysisFusion = Fusion;
-      I.setTier(Cfg);
-    }
-    std::vector<HookEvent> Events;
-    AllocationHooks Hooks;
-    Hooks.Pre = [&](uint64_t Site) {
-      Events.push_back({Site, false, kNullRef});
-    };
-    Hooks.Post = [&](uint64_t Site, ObjectRef Obj) {
-      Events.push_back({Site, true, Obj});
-    };
-    I.setAllocationHooks(std::move(Hooks));
-    auto R = I.run("H.main");
-    if (Traces)
-      *Traces = I.renderTraces();
-    uint64_t Steps = I.stepsExecuted();
-    Vm.endThread(Th);
-    EXPECT_TRUE(R.has_value());
-    return std::make_tuple(R->asInt(), Steps, Events);
-  };
-  std::string FusedTraces;
-  auto Fused = Run(true, true, &FusedTraces);
-  auto Plain = Run(true, false, nullptr);
-  auto Interp = Run(false, false, nullptr);
-  // The fused run really took the analysis-proven path.
-  EXPECT_NE(FusedTraces.find("hook_pre"), std::string::npos) << FusedTraces;
-  EXPECT_NE(FusedTraces.find("hook_post"), std::string::npos);
-  EXPECT_NE(FusedTraces.find("cmp_branch_li"), std::string::npos);
-  // 300 iterations, one pre + one post each.
-  EXPECT_EQ(std::get<2>(Interp).size(), 600u);
-  EXPECT_EQ(std::get<0>(Interp), 300);
-  // Observational identity across all three executions.
-  EXPECT_TRUE(Fused == Interp);
-  EXPECT_TRUE(Plain == Interp);
-}
-
-// --- Static allocation-site report ---------------------------------------
 
 TEST(StaticReport, CollectsEscapeClassAndLoopDepthPerSite) {
   JavaVm Vm;

@@ -79,6 +79,19 @@ TEST(CliSmoke, JobsValidationRejectsZero) {
   EXPECT_NE(Out.find("--jobs must be positive"), std::string::npos) << Out;
 }
 
+// Retired tier knobs are unknown flags now: usage errors, never
+// silently accepted.
+TEST(CliSmoke, RetiredTierFlagsAreUsageErrors) {
+  for (const char *Flags : {"--no-analysis-fusion", "--max-trace-len 8"}) {
+    auto [Exit, Out] = run("'" + DjxperfPath + "' --tier super " + Flags +
+                           " figure1");
+    EXPECT_EQ(Exit, 2) << Flags << ": " << Out;
+    EXPECT_NE(Out.find("unknown"), std::string::npos) << Flags << ": " << Out;
+    EXPECT_EQ(Out.find("=== DJXPerf"), std::string::npos) << Flags << ": "
+                                                          << Out;
+  }
+}
+
 TEST(CliSmoke, MissingWorkloadPrintsUsageAndExitCodes) {
   auto [Exit, Out] = run("'" + DjxperfPath + "'");
   EXPECT_EQ(Exit, 2) << Out;

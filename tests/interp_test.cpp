@@ -278,9 +278,9 @@ TEST(Interpreter, LoopComputesSum) {
 
 /// The zero/null tests, then every if_icmp<cond> taken and not taken,
 /// with its operands pushed as constants, loaded from two locals, and
-/// local-vs-constant: the three shapes the trace tier compiles
-/// differently (Br, CmpBranchLL, CmpBranchLI). Bit k of the second
-/// bodies' result is set when compare k falls through.
+/// local-vs-constant: the trace tier compiles two locals to CmpBranchLL
+/// and the other shapes to Br. Bit k of the second bodies' result is set
+/// when compare k falls through.
 TEST_P(OpSemantics, ConditionalBranchKinds) {
   EXPECT_EQ(result([](JavaVm &, MethodBuilder &B) {
               Label A = B.newLabel(), B2 = B.newLabel(), C = B.newLabel(),

@@ -362,6 +362,13 @@ TEST(JournalTruncation, CutAtCommitMatchesMaxRoundsReference) {
   EXPECT_EQ(R.LastRound, Round);
   EXPECT_EQ(R.TrailingBytes, 0u);
   EXPECT_TRUE(R.TruncationReason.empty());
+  const std::string Banner = journalTruncationBanner(TornPath, R);
+  EXPECT_NE(Banner.find("journal truncated, salvaged prefix only"),
+            std::string::npos)
+      << Banner;
+  EXPECT_NE(Banner.find("\nreason:   journal ends without a Close sentinel"),
+            std::string::npos)
+      << Banner;
 
   // The reference run is jobs-invariant: the torn jobs-2 journal must
   // recover to the truncated run at any worker count.
@@ -452,7 +459,7 @@ TEST(JournalFuzz, SalvagesExactlyTheValidPrefix) {
     EXPECT_LE(R.BytesKept, Mut.size()) << Label;
     // Damage never reaches the snapshot parser (the CRC rejects it
     // first), and the report renders without crashing.
-    EXPECT_EQ(R.SnapshotsDropped, 0u) << Label;
+    EXPECT_EQ(R.SnapshotsUnparseable, 0u) << Label;
     recoveredReport(MutPath);
   }
   std::remove(Path.c_str());
@@ -605,13 +612,49 @@ TEST(JournalRecover, UnusableCommittedSnapshotIsCountedAndDegrades) {
     EXPECT_TRUE(R.Closed && R.CloseClean) << C.Label;
     EXPECT_EQ(R.SegmentsCommitted, Whole.SegmentsCommitted) << C.Label;
     EXPECT_TRUE(R.TruncationReason.empty()) << C.Label;
-    EXPECT_EQ(R.SnapshotsDropped, C.DroppedByRead) << C.Label;
+    EXPECT_EQ(R.SnapshotsUnparseable, C.DroppedByRead) << C.Label;
+    EXPECT_EQ(R.SnapshotsUnresolved, 0u) << C.Label;
 
     JournalFold F = foldJournals({Bad});
     ASSERT_EQ(F.Inputs.size(), 1u);
-    EXPECT_EQ(F.Inputs[0].SnapshotsDropped, 1u) << C.Label;
-    EXPECT_TRUE(F.Inputs[0].degraded()) << C.Label;
+    const JournalRecovery &Folded = F.Inputs[0];
+    EXPECT_EQ(Folded.SnapshotsUnparseable, C.DroppedByRead) << C.Label;
+    EXPECT_EQ(Folded.SnapshotsUnresolved, 1 - C.DroppedByRead) << C.Label;
+    EXPECT_TRUE(Folded.degraded()) << C.Label;
     EXPECT_EQ(F.Profiles.size(), Whole.Profiles.size() - 1) << C.Label;
+
+    // The banner and the stderr line name the reason the snapshot went.
+    const std::string Banner = journalTruncationBanner(Bad, Folded);
+    const std::string Line = journalAccountingLine(Bad, Folded);
+    const char *Note = C.DroppedByRead
+                           ? ", 1 unparseable snapshot(s)"
+                           : ", 1 snapshot(s) with unresolved method/CCT ids";
+    const char *Reason =
+        C.DroppedByRead ? "\nreason:   committed snapshot(s) failed to parse\n"
+                        : "\nreason:   committed snapshot(s) name a method or "
+                          "CCT node the journal does not define\n";
+    EXPECT_NE(Banner.find("=== DJXPerf DEGRADED report: journal snapshot(s) "
+                          "dropped ===\n"),
+              std::string::npos)
+        << C.Label << "\n"
+        << Banner;
+    EXPECT_NE(Banner.find(std::string("0 trailing byte(s)") + Note + "\n"),
+              std::string::npos)
+        << C.Label << "\n"
+        << Banner;
+    EXPECT_NE(Banner.find(Reason), std::string::npos) << C.Label << "\n"
+                                                      << Banner;
+    EXPECT_EQ(Line, "djxperf: " + Bad + ": kept " +
+                        std::to_string(Whole.SegmentsCommitted) +
+                        " committed segment(s) (" +
+                        std::to_string(Folded.BytesKept) +
+                        " bytes) through epoch " +
+                        std::to_string(Whole.LastEpoch) + " (round " +
+                        std::to_string(Whole.LastRound) +
+                        "); dropped 0 uncommitted segment(s), 0 trailing "
+                        "byte(s)" +
+                        Note + "\n")
+        << C.Label;
   }
   std::remove(Path.c_str());
   std::remove(Bad.c_str());

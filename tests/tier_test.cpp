@@ -22,6 +22,7 @@
 #include "bytecode/TraceCompiler.h"
 #include "core/DjxPerf.h"
 #include "core/Report.h"
+#include "instrument/AllocationInstrumenter.h"
 #include "interp/Interpreter.h"
 #include "runtime/Executor.h"
 #include "support/FaultInjector.h"
@@ -32,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <string>
 #include <tuple>
@@ -115,7 +117,7 @@ TEST(TraceCompiler, FusesHotLoopIdioms) {
   P.load(Vm);
   const BytecodeMethod &M = P.classes()[0].Methods[0];
 
-  auto T = compileTrace(M, kSweepLoopHead, superTier());
+  auto T = compileTrace(M, kSweepLoopHead);
   ASSERT_TRUE(T.has_value());
   EXPECT_EQ(T->EntryPc, kSweepLoopHead);
 
@@ -188,20 +190,26 @@ TEST(TraceCompiler, BaseEncodingsCoverStackShufflesAndMultiArrays) {
   P.load(Vm);
   const BytecodeMethod &M = P.classes()[0].Methods[0];
   // Compile at the loop head (pc 2, after the two-instruction prologue).
-  auto T = compileTrace(M, 2, superTier());
+  auto T = compileTrace(M, 2);
   ASSERT_TRUE(T.has_value());
-  std::vector<SuperOp> Kinds;
-  for (const TraceOp &O : T->Ops)
-    Kinds.push_back(O.Kind);
-  auto Has = [&](SuperOp K) {
-    return std::find(Kinds.begin(), Kinds.end(), K) != Kinds.end();
+  auto Has = [&](SuperOp K, Opcode Src) {
+    return std::any_of(T->Ops.begin(), T->Ops.end(), [&](const TraceOp &O) {
+      return O.Kind == K && O.Src == Src;
+    });
   };
-  EXPECT_TRUE(Has(SuperOp::DupV));
-  EXPECT_TRUE(Has(SuperOp::SwapV));
-  EXPECT_TRUE(Has(SuperOp::INeg));
-  EXPECT_TRUE(Has(SuperOp::PopV));
-  EXPECT_TRUE(Has(SuperOp::Alloc));
-  EXPECT_TRUE(Has(SuperOp::IncLocal)); // The iload/iconst/isub/istore run.
+  EXPECT_TRUE(Has(SuperOp::Move, Opcode::Dup));
+  EXPECT_TRUE(Has(SuperOp::Move, Opcode::Swap));
+  EXPECT_TRUE(Has(SuperOp::Alu, Opcode::INeg));
+  EXPECT_TRUE(Has(SuperOp::Move, Opcode::Pop));
+  EXPECT_TRUE(Has(SuperOp::Alloc, Opcode::MultiANewArray));
+  // The iload/iconst/isub/istore run.
+  EXPECT_TRUE(Has(SuperOp::IncLocal, Opcode::ISub));
+  // A move prints as its opcode; an ALU op names its opcode.
+  std::string Text = disassembleTrace(M, *T);
+  EXPECT_NE(Text.find(": iconst 5\n"), std::string::npos) << Text;
+  EXPECT_NE(Text.find(": dup\n"), std::string::npos) << Text;
+  EXPECT_NE(Text.find(": alu (ineg)\n"), std::string::npos) << Text;
+  EXPECT_NE(Text.find(": astore L1\n"), std::string::npos) << Text;
 
   // And the program runs identically in both tiers, exercising the
   // executing side of every base encoding above.
@@ -244,30 +252,110 @@ TEST(TraceCompiler, RejectsRegionsTooShortToPay) {
   const BytecodeMethod &M = P.classes()[0].Methods[0];
   // IRet ends trace formation immediately: a one-instruction region does
   // not pay for trace entry, and the iret pc itself yields zero steps.
-  EXPECT_FALSE(compileTrace(M, 0, superTier()).has_value());
-  EXPECT_FALSE(compileTrace(M, 1, superTier()).has_value());
+  EXPECT_FALSE(compileTrace(M, 0).has_value());
+  EXPECT_FALSE(compileTrace(M, 1).has_value());
 }
 
 TEST(TraceCompiler, MaxTraceLengthCapsFormation) {
-  JavaVm Vm;
+  // 80 straight-line instructions before the return: the 64-step cap
+  // ends the trace.
   MethodBuilder B("T", "main", 0, 2);
-  for (int I = 0; I < 16; ++I)
+  for (int I = 0; I < 40; ++I)
     B.iconst(I).pop();
   B.iconst(0).iret();
-  ClassFile C;
-  C.Name = "T";
-  C.Methods.push_back(B.build());
-  BytecodeProgram P;
-  P.addClass(std::move(C));
-  P.load(Vm);
-  const BytecodeMethod &M = P.classes()[0].Methods[0];
-
-  TierConfig Cfg = superTier();
-  Cfg.MaxTraceLength = 8;
-  auto T = compileTrace(M, 0, Cfg);
+  BytecodeMethod M = B.build();
+  auto T = compileTrace(M, 0);
   ASSERT_TRUE(T.has_value());
-  EXPECT_EQ(T->NumSteps, 8u);
-  EXPECT_EQ(T->EndPc, 8u); // Falls through to the flat loop mid-method.
+  EXPECT_EQ(T->NumSteps, 64u);
+  EXPECT_EQ(T->EndPc, 64u); // Falls through to the flat loop mid-method.
+  EXPECT_EQ(T->Ops.size(), 64u);
+}
+
+TEST(TraceCompiler, FusedIdiomCutByTheCapFallsBackToBaseEncodings) {
+  // Each fused idiom starts two steps before the cap: too long to fuse,
+  // so its first two constituents compile one by one and the trace ends
+  // at the cap. Two nops ahead of it are carried as nop superops.
+  struct Idiom {
+    const char *Name;
+    std::function<void(MethodBuilder &)> Emit;
+    Opcode Head[2]; ///< The constituents left in the trace.
+  };
+  JavaVm Vm;
+  const TypeId IntArr = Vm.types().intArray();
+  const Idiom Idioms[] = {
+      {"pa_store_lll",
+       [](MethodBuilder &B) { B.aload(1).iload(0).iload(0).paStore(); },
+       {Opcode::ALoad, Opcode::ILoad}},
+      {"pa_load_ll",
+       [](MethodBuilder &B) { B.aload(1).iload(0).paLoad().pop(); },
+       {Opcode::ALoad, Opcode::ILoad}},
+      {"inc_local",
+       [](MethodBuilder &B) { B.iload(0).iconst(1).iadd().istore(0); },
+       {Opcode::ILoad, Opcode::IConst}},
+      {"cmp_branch_ll",
+       [](MethodBuilder &B) {
+         Label Next = B.newLabel();
+         B.iload(0).iload(0).ifICmp(Opcode::IfICmpNe, Next);
+         B.bind(Next);
+       },
+       {Opcode::ILoad, Opcode::ILoad}},
+      {"accum_local",
+       [](MethodBuilder &B) { B.iconst(1).iload(0).iadd().istore(0); },
+       {Opcode::IConst, Opcode::ILoad}},
+  };
+  for (const Idiom &Id : Idioms) {
+    // Locals: 0 = int, 1 = int[]. Pcs 0-7 set them up, 8-61 pad with
+    // iconst/pop pairs (the last pair becomes two nops), the idiom
+    // starts at pc 62.
+    MethodBuilder B("T", "main", 0, 2);
+    B.iconst(0).istore(0).iconst(4).newArray(IntArr).astore(1);
+    B.iconst(1).ineg().pop();
+    for (int I = 0; I < 27; ++I)
+      B.iconst(I).pop();
+    Id.Emit(B);
+    B.iconst(0).iret();
+    BytecodeMethod M = B.build();
+    M.Code[60] = Instruction{Opcode::Nop};
+    M.Code[61] = Instruction{Opcode::Nop};
+    // The idiom fuses when the cap leaves room for it...
+    auto Mid = compileTrace(M, 40);
+    ASSERT_TRUE(Mid.has_value()) << Id.Name;
+    EXPECT_NE(disassembleTrace(M, *Mid).find(Id.Name), std::string::npos)
+        << disassembleTrace(M, *Mid);
+    // ...and is cut into base encodings when it does not.
+    auto T = compileTrace(M, 0);
+    ASSERT_TRUE(T.has_value()) << Id.Name;
+    EXPECT_EQ(T->NumSteps, 64u) << Id.Name;
+    ASSERT_EQ(T->Ops.size(), 64u) << Id.Name;
+    EXPECT_EQ(T->Ops[60].Kind, SuperOp::Nop) << Id.Name;
+    EXPECT_EQ(T->Ops[61].Kind, SuperOp::Nop) << Id.Name;
+    for (size_t K = 0; K < 2; ++K) {
+      EXPECT_EQ(T->Ops[62 + K].Kind, SuperOp::Move) << Id.Name;
+      EXPECT_EQ(T->Ops[62 + K].Src, Id.Head[K]) << Id.Name;
+    }
+    EXPECT_EQ(disassembleTrace(M, *T).find(Id.Name), std::string::npos)
+        << disassembleTrace(M, *T);
+  }
+}
+
+TEST(TraceCompiler, InstrumentedAllocationSiteEndsTheTrace) {
+  // allochook_pre dispatches an agent hook, which runs only in the flat
+  // loop: the trace stops right before it.
+  JavaVm Vm;
+  BytecodeProgram P = churnProgram(Vm.types());
+  P.load(Vm);
+  AllocationSiteTable Sites;
+  ASSERT_EQ(instrumentProgram(P, Sites), 1u);
+  const BytecodeMethod &M = P.method(0);
+  // Loop head: iload/iconst/if_icmpge after the two-instruction prologue.
+  auto T = compileTrace(M, 2);
+  ASSERT_TRUE(T.has_value());
+  ASSERT_LT(T->EndPc, M.Code.size());
+  EXPECT_EQ(M.Code[T->EndPc].Op, Opcode::AllocHookPre);
+  EXPECT_EQ(T->Ops.back().Kind, SuperOp::Move);
+  EXPECT_EQ(T->Ops.back().Src, Opcode::IConst); // The array length.
+  for (const TraceOp &O : T->Ops)
+    EXPECT_NE(O.Kind, SuperOp::Alloc);
 }
 
 TEST(TraceCompiler, ShapeAnalysisTracksEntryDepthAndGrowth) {
@@ -286,7 +374,7 @@ TEST(TraceCompiler, ShapeAnalysisTracksEntryDepthAndGrowth) {
   P.load(Vm);
   const BytecodeMethod &M = P.classes()[0].Methods[0];
 
-  auto T = compileTrace(M, 2, superTier());
+  auto T = compileTrace(M, 2);
   ASSERT_TRUE(T.has_value());
   // iadd pops 2 below the entry depth; the iconst run later nets only
   // +1 relative to entry, so the floor stays at the iadd's two operands.
@@ -303,7 +391,7 @@ TEST(Disassembler, RendersCompiledTraces) {
   BytecodeProgram P = sweepProgram(Vm.types(), 64);
   P.load(Vm);
   const BytecodeMethod &M = P.classes()[0].Methods[0];
-  auto T = compileTrace(M, kSweepLoopHead, superTier());
+  auto T = compileTrace(M, kSweepLoopHead);
   ASSERT_TRUE(T.has_value());
 
   std::string Text = disassembleTrace(M, *T);

@@ -50,7 +50,6 @@
 #include <memory>
 #include <optional>
 #include <random>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -211,12 +210,8 @@ void usage(const char *Argv0) {
       "interp; results are byte-identical for either)\n"
       "  --hot-threshold <n>    dispatches before a pc compiles to a "
       "trace (super tier; default 16)\n"
-      "  --max-trace-len <n>    max interpreter steps fused into one "
-      "trace (super tier; default 64)\n"
       "  --dump-traces          print compiled traces to stderr after "
       "the run (super tier, mt workloads)\n"
-      "  --no-analysis-fusion   disable analysis-proven trace fusions "
-      "(super tier; results are byte-identical either way)\n"
       "  --static-report        append a static allocation-site section "
       "(escape class, loop depth) joined against the profile; mt "
       "workloads run bytecode-instrumented\n"
@@ -320,62 +315,6 @@ std::string renderMetaReport(const MergedProfile &P,
   return Out;
 }
 
-/// Banner for a journal whose tail was lost (no clean Close, or valid
-/// segments dropped as uncommitted) or that lost threads to unparseable
-/// snapshots: states exactly what was kept and what was dropped, like
-/// renderDegradedBanner does for failed runs.
-std::string journalTruncationBanner(const std::string &Path,
-                                    const JournalRecovery &R) {
-  const bool Torn =
-      !R.Closed || R.SegmentsUncommitted != 0 || R.TrailingBytes != 0;
-  std::ostringstream OS;
-  OS << "=== DJXPerf DEGRADED report: "
-     << (Torn ? "journal truncated, salvaged prefix only"
-              : "journal snapshot(s) unparseable")
-     << " ===\n";
-  OS << "journal:  " << Path << '\n';
-  OS << "kept:     " << R.SegmentsCommitted << " committed segment(s), "
-     << R.BytesKept << " bytes, last durable epoch " << R.LastEpoch
-     << " (round " << R.LastRound << ")\n";
-  OS << "dropped:  " << R.SegmentsUncommitted
-     << " uncommitted segment(s), " << R.TrailingBytes
-     << " trailing byte(s)";
-  if (R.SnapshotsDropped != 0)
-    OS << ", " << R.SnapshotsDropped << " unparseable snapshot(s)";
-  std::string Reason = R.TruncationReason;
-  if (Reason.empty())
-    Reason = !R.Closed ? "journal ends without a Close sentinel (crash "
-                         "or kill before the run finished)"
-                       : "committed snapshot(s) failed to parse";
-  OS << "\nreason:   " << Reason << '\n';
-  OS << (Torn ? "The profile below reflects the last durable epoch only; "
-                "everything after it was lost.\n\n"
-              : "The profile below lacks the threads of the dropped "
-                "snapshot(s).\n\n");
-  return OS.str();
-}
-
-/// Per-file stderr accounting shared by recover and merge.
-void printJournalAccounting(const std::string &Path,
-                            const JournalRecovery &R) {
-  std::string Notes;
-  if (R.SnapshotsDropped != 0)
-    Notes = ", " + std::to_string(R.SnapshotsDropped) +
-            " unparseable snapshot(s)";
-  if (!R.TruncationReason.empty())
-    Notes += "; stopped at: " + R.TruncationReason;
-  std::fprintf(stderr,
-               "djxperf: %s: kept %llu committed segment(s) (%llu bytes) "
-               "through epoch %llu (round %llu); dropped %llu "
-               "uncommitted segment(s), %llu trailing byte(s)%s\n",
-               Path.c_str(), (unsigned long long)R.SegmentsCommitted,
-               (unsigned long long)R.BytesKept,
-               (unsigned long long)R.LastEpoch,
-               (unsigned long long)R.LastRound,
-               (unsigned long long)R.SegmentsUncommitted,
-               (unsigned long long)R.TrailingBytes, Notes.c_str());
-}
-
 /// `djxperf recover <journal> [--html <file>]` and `djxperf merge
 /// <journal>... [--html <file>]`: one fold (foldJournals) over the
 /// inputs, rendered with the first Meta segment's options.
@@ -433,7 +372,7 @@ int runJournalVerb(int Argc, char **Argv) {
       continue;
     }
     ++Usable;
-    printJournalAccounting(Paths[I], R);
+    std::fputs(journalAccountingLine(Paths[I], R).c_str(), stderr);
     if (!Meta && R.HasMeta)
       Meta = &R.Meta;
   }
@@ -586,17 +525,8 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "error: --hot-threshold must be positive\n");
         return 2;
       }
-    } else if (A == "--max-trace-len") {
-      Tier.MaxTraceLength =
-          static_cast<uint32_t>(NeedsUnsigned("--max-trace-len", UINT32_MAX));
-      if (Tier.MaxTraceLength == 0) {
-        std::fprintf(stderr, "error: --max-trace-len must be positive\n");
-        return 2;
-      }
     } else if (A == "--dump-traces") {
       DumpTraces = true;
-    } else if (A == "--no-analysis-fusion") {
-      Tier.AnalysisFusion = false;
     } else if (A == "--static-report") {
       StaticReport = true;
     } else if (A == "--heap-bytes") {
